@@ -6,7 +6,8 @@
 // RATIO measured inside one process:
 //
 //   - The "paired" sub-benchmarks (BenchmarkTiledVsSeed/paired,
-//     BenchmarkLUTVsDirect/paired) interleave the optimised and the
+//     BenchmarkLUTVsDirect/paired, and internal/nn's
+//     BenchmarkFloatTiledVsSeed/paired) interleave the optimised and the
 //     reference kernel round by round and report the median per-round
 //     cost ratio as a "paired-rel" metric. Both sides of every ratio
 //     run within milliseconds of each other under the same ambient
@@ -21,12 +22,12 @@
 //
 //     # regenerate the committed baseline
 //     for i in 1 2 3; do
-//     go test -run '^$' -bench 'TiledVsSeed|LUTVsDirect' -benchtime 300ms -count=2 .
+//     go test -run '^$' -bench 'TiledVsSeed|LUTVsDirect' -benchtime 300ms -count=2 . ./internal/nn
 //     done | go run ./cmd/axbench -update BENCH_axnn.json
 //
 //     # CI regression gate: >10% paired-ratio regression fails
 //     for i in 1 2 3; do
-//     go test -run '^$' -bench 'TiledVsSeed|LUTVsDirect' -benchtime 300ms -count=2 .
+//     go test -run '^$' -bench 'TiledVsSeed|LUTVsDirect' -benchtime 300ms -count=2 . ./internal/nn
 //     done | go run ./cmd/axbench -baseline BENCH_axnn.json -gate 0.10
 package main
 
@@ -231,7 +232,7 @@ func build(groups []map[string]float64, prev *Baseline) (*Baseline, error) {
 		}
 	}
 	b := &Baseline{
-		Note:       "In-tree axnn kernel perf baseline. Gated entries (@paired-rel) are interleaved per-round cost ratios measured inside the benchmark itself; plain entries record cross-window ns/op quotients vs the seed kernel; @cache-* entries record the persistent cache tier's hit/miss deltas (counts, ungated). Entries a run does not re-measure are carried forward. Regenerate kernels: for i in 1 2 3; do go test -run '^$' -bench 'TiledVsSeed|LUTVsDirect' -benchtime 300ms -count=2 .; done | go run ./cmd/axbench -update BENCH_axnn.json; cache tier: go test -run '^$' -bench 'WarmStoreCraft' -benchtime 1x -count=3 . | go run ./cmd/axbench -update BENCH_axnn.json",
+		Note:       "In-tree kernel perf baseline (axnn LUT kernels, nn float conv kernels). Gated entries (@paired-rel) are interleaved per-round cost ratios measured inside the benchmark itself; plain entries record cross-window ns/op quotients vs the seed kernel; @cache-* entries record the persistent cache tier's hit/miss deltas (counts, ungated). Entries a run does not re-measure are carried forward. Regenerate kernels: for i in 1 2 3; do go test -run '^$' -bench 'TiledVsSeed|LUTVsDirect' -benchtime 300ms -count=2 . ./internal/nn; done | go run ./cmd/axbench -update BENCH_axnn.json; cache tier: go test -run '^$' -bench 'WarmStoreCraft' -benchtime 1x -count=3 . | go run ./cmd/axbench -update BENCH_axnn.json",
 		Ref:        refBench,
 		Benchmarks: map[string]*Entry{},
 	}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	axvet [-json] [patterns...]   # AST analyzers; default ./internal/... ./cmd/...
-//	axvet -bce [-json]            # bounds-check gate over internal/axnn
+//	axvet -bce [-json]            # bounds-check gate over internal/axnn and internal/nn
 //	axvet -list                   # registered analyzers and their contracts
 package main
 
@@ -49,7 +49,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		diags, err = analysis.RunBCE(root, "./internal/axnn", policy)
+		diags, err = analysis.RunBCE(root, policy, "./internal/axnn", "./internal/nn")
 		if err != nil {
 			fatal(err)
 		}

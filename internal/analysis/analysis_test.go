@@ -65,11 +65,37 @@ func TestBCEGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunBCE(root, "./internal/analysis/testdata/src/bcetest", policy)
+	diags, err := RunBCE(root, policy, "./internal/analysis/testdata/src/bcetest")
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, filepath.Join("testdata", "bcetest.golden"), renderDiags(diags))
+}
+
+// TestBCEPolicyQualifiedSites: policy sites name files by module-
+// relative path; a bare file name, which would match like-named files
+// in every gated package, is rejected.
+func TestBCEPolicyQualifiedSites(t *testing.T) {
+	dir := t.TempDir()
+	load := func(body string) (*BCEPolicy, error) {
+		path := filepath.Join(dir, "policy.txt")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadBCEPolicy(path)
+	}
+	p, err := load("gate internal/nn/gemm.go:dot1x1\nallow internal/axnn/qconv.go:12 -- why\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Gated["internal/nn/gemm.go:dot1x1"] || p.Allowed["internal/axnn/qconv.go:12"] != "why" {
+		t.Fatalf("qualified sites not loaded: %+v", p)
+	}
+	for _, bad := range []string{"gate gemm.go:dot1x1\n", "allow qconv.go:12 -- why\n", "skip internal/nn/gemm.go:dot1x1\n"} {
+		if _, err := load(bad); err == nil {
+			t.Errorf("policy %q loaded without error", bad)
+		}
+	}
 }
 
 // renderDiags renders diagnostics with basenamed files so goldens are

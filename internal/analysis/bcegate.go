@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -15,27 +16,33 @@ import (
 )
 
 // The bounds-check gate pins the tiled-kernel performance claim as
-// policy-in-code: the LUT kernels' throughput rests on the compiler
-// proving every per-element access in their innermost loops in-bounds,
-// and one careless index rewrite silently re-inserts a branch per MAC.
-// Unlike the AST analyzers, this gate drives the compiler itself
-// (`go build -gcflags=-d=ssa/check_bce`) and filters its findings down
-// to the innermost loops of the functions named in bce_policy.txt.
-// Sites the prove pass fundamentally cannot handle (data-dependent
-// sparse scatters) are allowlisted there, with reasons, next to the
-// gate entries.
+// policy-in-code: the kernels' throughput (the LUT kernels of
+// internal/axnn, the float conv GEMM of internal/nn) rests on the
+// compiler proving every per-element access in their innermost loops
+// in-bounds, and one careless index rewrite silently re-inserts a
+// branch per MAC. Unlike the AST analyzers, this gate drives the
+// compiler itself (`go build -gcflags=-d=ssa/check_bce`) and filters
+// its findings down to the innermost loops of the functions named in
+// bce_policy.txt. Sites the prove pass fundamentally cannot handle
+// (data-dependent sparse scatters) are allowlisted there, with
+// reasons, next to the gate entries.
 
 // BCEPolicy is the parsed bce_policy.txt: which functions are gated
-// and which file:line sites are accepted.
+// and which file:line sites are accepted. Files are named by their
+// slash-separated path relative to the module root (the form the
+// compiler prints), so like-named files in different packages cannot
+// collide.
 type BCEPolicy struct {
-	// Gated maps "file.go:funcName" (basename) to true.
+	// Gated maps "dir/file.go:funcName" to true.
 	Gated map[string]bool
-	// Allowed maps "file.go:line" (basename) to the recorded reason.
+	// Allowed maps "dir/file.go:line" to the recorded reason.
 	Allowed map[string]string
 }
 
-// LoadBCEPolicy parses the policy file. Lines are `gate file.go:func`,
-// `allow file.go:line -- reason`, blank, or #-comments.
+// LoadBCEPolicy parses the policy file. Lines are
+// `gate dir/file.go:func`, `allow dir/file.go:line -- reason`, blank,
+// or #-comments. A site without a directory is rejected: it would
+// match a like-named file in every gated package.
 func LoadBCEPolicy(path string) (*BCEPolicy, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -52,15 +59,18 @@ func LoadBCEPolicy(path string) (*BCEPolicy, error) {
 			continue
 		}
 		verb, rest, _ := strings.Cut(line, " ")
-		rest = strings.TrimSpace(rest)
-		switch verb {
-		case "gate":
-			p.Gated[rest] = true
-		case "allow":
-			site, reason, _ := strings.Cut(rest, "--")
-			p.Allowed[strings.TrimSpace(site)] = strings.TrimSpace(reason)
-		default:
+		if verb != "gate" && verb != "allow" {
 			return nil, fmt.Errorf("%s:%d: unknown policy verb %q", path, lineno, verb)
+		}
+		site, reason, _ := strings.Cut(strings.TrimSpace(rest), "--")
+		site = strings.TrimSpace(site)
+		if !strings.Contains(site, "/") {
+			return nil, fmt.Errorf("%s:%d: site %q is not package-qualified; name the file by its module-relative path (internal/pkg/file.go)", path, lineno, site)
+		}
+		if verb == "gate" {
+			p.Gated[site] = true
+		} else {
+			p.Allowed[site] = strings.TrimSpace(reason)
 		}
 	}
 	return p, sc.Err()
@@ -68,13 +78,14 @@ func LoadBCEPolicy(path string) (*BCEPolicy, error) {
 
 var bceDiag = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): Found (IsInBounds|IsSliceInBounds)`)
 
-// RunBCE builds pkg (an import path pattern like ./internal/axnn) with
-// the SSA check_bce debug flag and returns the bounds checks that land
-// inside the innermost loops of gated functions and are not
-// allowlisted. -a defeats the build cache, which would otherwise
-// swallow the compiler's diagnostics on a cache hit.
-func RunBCE(moduleRoot, pkg string, policy *BCEPolicy) ([]Diagnostic, error) {
-	cmd := exec.Command("go", "build", "-a", "-gcflags=-d=ssa/check_bce", pkg)
+// RunBCE builds pkgs (import path patterns relative to moduleRoot,
+// like ./internal/axnn) with the SSA check_bce debug flag and returns
+// the bounds checks that land inside the innermost loops of gated
+// functions and are not allowlisted. -a defeats the build cache, which
+// would otherwise swallow the compiler's diagnostics on a cache hit;
+// one build covers every package.
+func RunBCE(moduleRoot string, policy *BCEPolicy, pkgs ...string) ([]Diagnostic, error) {
+	cmd := exec.Command("go", append([]string{"build", "-a", "-gcflags=-d=ssa/check_bce"}, pkgs...)...)
 	cmd.Dir = moduleRoot
 	out, err := cmd.CombinedOutput()
 	// check_bce findings are warnings (exit 0); a nonzero status means
@@ -83,10 +94,11 @@ func RunBCE(moduleRoot, pkg string, policy *BCEPolicy) ([]Diagnostic, error) {
 		return nil, fmt.Errorf("go build -d=ssa/check_bce: %v\n%s", err, out)
 	}
 
-	pkgDir := filepath.Join(moduleRoot, filepath.FromSlash(strings.TrimPrefix(pkg, "./")))
-	ranges, err := gatedInnerLoopRanges(pkgDir, policy)
-	if err != nil {
-		return nil, err
+	ranges := map[string][]loopRange{}
+	for _, pkg := range pkgs {
+		if err := gatedInnerLoopRanges(moduleRoot, path.Clean(pkg), policy, ranges); err != nil {
+			return nil, err
+		}
 	}
 
 	var diags []Diagnostic
@@ -98,9 +110,15 @@ func RunBCE(moduleRoot, pkg string, policy *BCEPolicy) ([]Diagnostic, error) {
 		file := m[1]
 		lineNo, _ := strconv.Atoi(m[2])
 		col, _ := strconv.Atoi(m[3])
-		base := filepath.Base(file)
+		rel := file
+		if filepath.IsAbs(rel) {
+			if r, err := filepath.Rel(moduleRoot, rel); err == nil {
+				rel = r
+			}
+		}
+		rel = path.Clean(filepath.ToSlash(rel))
 		fn := ""
-		for _, r := range ranges[base] {
+		for _, r := range ranges[rel] {
 			if lineNo > r.lbrace && lineNo <= r.rbrace {
 				fn = r.fn
 				break
@@ -109,7 +127,7 @@ func RunBCE(moduleRoot, pkg string, policy *BCEPolicy) ([]Diagnostic, error) {
 		if fn == "" {
 			continue // outside every gated innermost loop
 		}
-		if _, ok := policy.Allowed[fmt.Sprintf("%s:%d", base, lineNo)]; ok {
+		if _, ok := policy.Allowed[fmt.Sprintf("%s:%d", rel, lineNo)]; ok {
 			continue
 		}
 		diags = append(diags, Diagnostic{
@@ -134,32 +152,34 @@ type loopRange struct {
 	rbrace int
 }
 
-// gatedInnerLoopRanges parses the package directory (syntax only) and
-// returns, per file basename, the innermost-loop body line ranges of
-// every gated function.
-func gatedInnerLoopRanges(pkgDir string, policy *BCEPolicy) (map[string][]loopRange, error) {
+// gatedInnerLoopRanges parses the package directory pkgDir (slash
+// path relative to moduleRoot; syntax only) and adds, per
+// module-relative file path, the innermost-loop body line ranges of
+// every gated function to ranges.
+func gatedInnerLoopRanges(moduleRoot, pkgDir string, policy *BCEPolicy, ranges map[string][]loopRange) error {
 	fset := token.NewFileSet()
-	entries, err := os.ReadDir(pkgDir)
+	dir := filepath.Join(moduleRoot, filepath.FromSlash(pkgDir))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ranges := map[string][]loopRange{}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(pkgDir, name), nil, 0)
+		rel := path.Join(pkgDir, name)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !policy.Gated[name+":"+fd.Name.Name] {
+			if !ok || fd.Body == nil || !policy.Gated[rel+":"+fd.Name.Name] {
 				continue
 			}
 			for _, body := range innermostLoopBodies(fd.Body) {
-				ranges[name] = append(ranges[name], loopRange{
+				ranges[rel] = append(ranges[rel], loopRange{
 					fn:     fd.Name.Name,
 					lbrace: fset.Position(body.Lbrace).Line,
 					rbrace: fset.Position(body.Rbrace).Line,
@@ -167,7 +187,7 @@ func gatedInnerLoopRanges(pkgDir string, policy *BCEPolicy) (map[string][]loopRa
 			}
 		}
 	}
-	return ranges, nil
+	return nil
 }
 
 // innermostLoopBodies returns the bodies of loops that contain no

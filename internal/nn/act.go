@@ -8,28 +8,32 @@ type ReLU struct{}
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.T, st *State) *tensor.T {
-	y := x.Clone()
-	if cap(st.mask) < len(y.Data) {
-		st.mask = make([]bool, len(y.Data))
+	y := tensor.New(x.Shape...)
+	if cap(st.mask) < len(x.Data) {
+		st.mask = make([]bool, len(x.Data))
 	}
-	st.mask = st.mask[:len(y.Data)]
-	for i, v := range y.Data {
+	mask := st.mask[:len(x.Data)]
+	st.mask = mask
+	yd := y.Data[:len(x.Data)]
+	for i, v := range x.Data {
 		if v <= 0 {
-			y.Data[i] = 0
-			st.mask[i] = false
-		} else {
-			st.mask[i] = true
+			mask[i] = false
+			continue
 		}
+		mask[i] = true
+		yd[i] = v
 	}
 	return y
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dy *tensor.T, st *State) *tensor.T {
-	dx := dy.Clone()
-	for i := range dx.Data {
-		if !st.mask[i] {
-			dx.Data[i] = 0
+	dx := tensor.New(dy.Shape...)
+	mask := st.mask[:len(dy.Data)]
+	dxd := dx.Data[:len(dy.Data)]
+	for i, g := range dy.Data {
+		if mask[i] {
+			dxd[i] = g
 		}
 	}
 	return dx

@@ -9,10 +9,13 @@ import (
 )
 
 // Conv2D is a 2-D convolution (cross-correlation) layer over [C,H,W]
-// samples or [N,C,H,W] batches, implemented with im2col: the forward
-// pass unrolls the whole batch into a [N, InC*K*K, outH*outW] column
-// buffer and runs one GEMM per sample over it, and the backward pass
-// reuses the same columns.
+// samples or [N,C,H,W] batches, implemented with im2col and
+// register-tiled GEMMs (gemm.go). The forward pass unrolls the whole
+// batch into pixel-major patches ([N*P][InC*K*K], one contiguous patch
+// per output pixel) and multiplies them by W in output-channel x pixel
+// tiles whose pixel index spans the batch; the backward pass reuses
+// the patches for weight gradients and computes the input gradient as
+// tap x pixel tiles of W^T dy, scattered back by Col2im.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 
@@ -57,10 +60,7 @@ func (c *Conv2D) Forward(x *tensor.T, st *State) *tensor.T {
 	p := outH * outW
 	kk := c.InC * c.K * c.K
 	st.x = x
-	if cap(st.cols) < n*kk*p {
-		st.cols = make([]float32, n*kk*p)
-	}
-	st.cols = st.cols[:n*kk*p]
+	cols := grow(&st.cols, n*p*kk)
 
 	var y *tensor.T
 	if len(x.Shape) == 4 {
@@ -70,32 +70,14 @@ func (c *Conv2D) Forward(x *tensor.T, st *State) *tensor.T {
 	}
 	inStride := c.InC * inH * inW
 	for s := 0; s < n; s++ {
-		cols := st.cols[s*kk*p : (s+1)*kk*p]
-		Im2col(x.Data[s*inStride:(s+1)*inStride], c.InC, inH, inW, c.K, c.Stride, c.Pad, cols)
-		yd := y.Data[s*c.OutC*p : (s+1)*c.OutC*p]
-		for oc := 0; oc < c.OutC; oc++ {
-			w := c.W[oc*kk : (oc+1)*kk]
-			out := yd[oc*p : (oc+1)*p]
-			for q := 0; q < kk; q++ {
-				wq := w[q]
-				if wq == 0 {
-					continue
-				}
-				col := cols[q*p : (q+1)*p]
-				for i, v := range col {
-					out[i] += wq * v
-				}
-			}
-			bias := c.B[oc]
-			for i := range out {
-				out[i] += bias
-			}
-		}
+		im2colPatches(x.Data[s*inStride:(s+1)*inStride], c.InC, inH, inW, c.K, c.Stride, c.Pad, cols[s*p*kk:(s+1)*p*kk])
 	}
+	gemmRowsByPixels(y.Data, c.W, c.OutC, cols, n*p, kk, p, c.B)
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It overwrites the patches Forward left in
+// st, so each Forward is followed by at most one Backward.
 func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 	x := st.x
 	n, sample := batchDims(x, 3)
@@ -103,31 +85,19 @@ func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 	outH, outW := c.OutSize(inH, inW)
 	p := outH * outW
 	kk := c.InC * c.K * c.K
+	cols := st.cols[:n*p*kk]
 
-	if cap(st.dcols) < kk*p {
-		st.dcols = make([]float32, kk*p)
-	}
-	dcols := st.dcols[:kk*p]
-
-	var dx *tensor.T
-	if len(x.Shape) == 4 {
-		dx = tensor.New(n, c.InC, inH, inW)
-	} else {
-		dx = tensor.New(c.InC, inH, inW)
-	}
-	inStride := c.InC * inH * inW
-	for s := 0; s < n; s++ {
-		cols := st.cols[s*kk*p : (s+1)*kk*p]
-		dyd := dy.Data[s*c.OutC*p : (s+1)*c.OutC*p]
-		if st.accumGrads {
+	if st.accumGrads {
+		for s := 0; s < n; s++ {
+			patches := cols[s*p*kk : (s+1)*p*kk]
+			dyd := dy.Data[s*c.OutC*p : (s+1)*c.OutC*p]
 			for oc := 0; oc < c.OutC; oc++ {
 				d := dyd[oc*p : (oc+1)*p]
 				gw := c.GW[oc*kk : (oc+1)*kk]
-				for q := 0; q < kk; q++ {
-					col := cols[q*p : (q+1)*p]
+				for q := range gw {
 					var sum float32
-					for i, v := range col {
-						sum += d[i] * v
+					for i, v := range d {
+						sum += v * patches[i*kk+q]
 					}
 					gw[q] += sum
 				}
@@ -138,28 +108,55 @@ func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 				c.GB[oc] += sb
 			}
 		}
-		// Input gradient via dcols = W^T dy, then col2im.
-		for i := range dcols {
-			dcols[i] = 0
+	}
+
+	// Input gradient: dcols = W^T dy as tap x pixel tiles reducing over
+	// output channels, from W and dy transposed so both operands are
+	// contiguous along that reduction. W is packed on every call, never
+	// cached on the layer: training and fine-tuning rewrite it between
+	// calls. dy is transposed a chunk of whole samples at a time, so its
+	// scratch stays the size of one sample's dy on large outputs while
+	// a batch of 1x1 outputs still shares pixel tiles. The patches are
+	// dead once the weight gradients are in, so dcols ([N][kk][P], the
+	// layout Col2im reads) reuses their buffer.
+	wt := grow(&st.wt, kk*c.OutC)
+	for oc := 0; oc < c.OutC; oc++ {
+		for q, v := range c.W[oc*kk : (oc+1)*kk] {
+			wt[q*c.OutC+oc] = v
 		}
-		for oc := 0; oc < c.OutC; oc++ {
-			d := dyd[oc*p : (oc+1)*p]
-			w := c.W[oc*kk : (oc+1)*kk]
-			for q := 0; q < kk; q++ {
-				wq := w[q]
-				if wq == 0 {
-					continue
-				}
-				dst := dcols[q*p : (q+1)*p]
-				for i, v := range d {
-					dst[i] += wq * v
+	}
+	dcols := cols
+	chunk := min(n, (minChunkPixels+p-1)/p)
+	dyt := grow(&st.dyt, chunk*p*c.OutC)
+	for s0 := 0; s0 < n; s0 += chunk {
+		s1 := min(s0+chunk, n)
+		for s := s0; s < s1; s++ {
+			for oc := 0; oc < c.OutC; oc++ {
+				for i, v := range dy.Data[(s*c.OutC+oc)*p : (s*c.OutC+oc+1)*p] {
+					dyt[((s-s0)*p+i)*c.OutC+oc] = v
 				}
 			}
 		}
-		Col2im(dcols, c.InC, inH, inW, c.K, c.Stride, c.Pad, dx.Data[s*inStride:(s+1)*inStride])
+		gemmRowsByPixels(dcols[s0*kk*p:s1*kk*p], wt, kk, dyt, (s1-s0)*p, c.OutC, p, nil)
+	}
+
+	var dx *tensor.T
+	if len(x.Shape) == 4 {
+		dx = tensor.New(n, c.InC, inH, inW)
+	} else {
+		dx = tensor.New(c.InC, inH, inW)
+	}
+	inStride := c.InC * inH * inW
+	for s := 0; s < n; s++ {
+		Col2im(dcols[s*kk*p:(s+1)*kk*p], c.InC, inH, inW, c.K, c.Stride, c.Pad, dx.Data[s*inStride:(s+1)*inStride])
 	}
 	return dx
 }
+
+// minChunkPixels is the fewest output pixels Backward transposes dy
+// for at once: enough to fill pixel tiles when each sample has a 1x1
+// output, without growing the scratch with the batch otherwise.
+const minChunkPixels = 64
 
 // Params implements ParamLayer.
 func (c *Conv2D) Params() []Param {
@@ -228,30 +225,96 @@ func Im2col(x []float32, inC, h, w, k, stride, pad int, cols []float32) {
 
 // Col2im scatters column gradients back to the input layout, summing
 // overlapping contributions. dst must be zeroed by the caller (a fresh
-// tensor.New suffices).
+// tensor.New suffices). Each dst element receives its contributions in
+// ascending tap order (ki, kj), one per tap.
 func Col2im(cols []float32, inC, h, w, k, stride, pad int, dst []float32) {
 	outH := (h+2*pad-k)/stride + 1
 	outW := (w+2*pad-k)/stride + 1
 	p := outH * outW
 	for ci := 0; ci < inC; ci++ {
-		base := ci * h * w
+		plane := dst[ci*h*w : (ci+1)*h*w]
 		for ki := 0; ki < k; ki++ {
+			oi0, oi1 := inBounds(ki, pad, stride, h, outH)
 			for kj := 0; kj < k; kj++ {
-				row := ((ci*k+ki)*k + kj) * p
-				idx := 0
-				for oi := 0; oi < outH; oi++ {
-					ii := oi*stride + ki - pad
-					if ii < 0 || ii >= h {
-						idx += outW
+				q := (ci*k+ki)*k + kj
+				col := cols[q*p : (q+1)*p]
+				oj0, oj1 := inBounds(kj, pad, stride, w, outW)
+				if oj0 == oj1 {
+					continue
+				}
+				j0 := oj0*stride + kj - pad
+				for oi := oi0; oi < oi1; oi++ {
+					src := col[oi*outW+oj0 : oi*outW+oj1]
+					row := plane[(oi*stride+ki-pad)*w : (oi*stride+ki-pad+1)*w]
+					if stride == 1 {
+						d := row[j0 : j0+len(src)]
+						for t, v := range src {
+							d[t] += v
+						}
 						continue
 					}
-					rowBase := base + ii*w
+					for t, v := range src {
+						row[j0+t*stride] += v
+					}
+				}
+			}
+		}
+	}
+}
+
+// inBounds returns the output positions [lo, hi) of a conv axis whose
+// input coordinate o*stride+off-pad lies in [0, n), for outN outputs.
+func inBounds(off, pad, stride, n, outN int) (lo, hi int) {
+	if d := pad - off; d > 0 {
+		lo = (d + stride - 1) / stride
+	}
+	hi = outN
+	if m := n - 1 + pad - off; m < 0 {
+		hi = 0
+	} else if m/stride+1 < hi {
+		hi = m/stride + 1
+	}
+	return min(lo, hi), hi
+}
+
+// im2colPatches is Im2col transposed to pixel-major: output pixel
+// p = oi*outW+oj owns the contiguous patch cols[p*kk : (p+1)*kk]
+// (kk = inC*k*k), holding x[ci, oi*stride+ki-pad, oj*stride+kj-pad] at
+// tap (ci*k+ki)*k+kj. Padding positions are zero.
+func im2colPatches(x []float32, inC, h, w, k, stride, pad int, cols []float32) {
+	outH := (h+2*pad-k)/stride + 1
+	outW := (w+2*pad-k)/stride + 1
+	kk := inC * k * k
+	// Pixels [lo, hi) of an output row read all k taps of a kernel row
+	// in bounds.
+	lo, _ := inBounds(0, pad, stride, w, outW)
+	_, hi := inBounds(k-1, pad, stride, w, outW)
+	for oi := 0; oi < outH; oi++ {
+		band := cols[oi*outW*kk : (oi+1)*outW*kk]
+		for ci := 0; ci < inC; ci++ {
+			for ki := 0; ki < k; ki++ {
+				t := (ci*k + ki) * k
+				ii := oi*stride + ki - pad
+				if ii < 0 || ii >= h {
 					for oj := 0; oj < outW; oj++ {
-						jj := oj*stride + kj - pad
-						if jj >= 0 && jj < w {
-							dst[rowBase+jj] += cols[row+idx]
+						clear(band[oj*kk+t : oj*kk+t+k])
+					}
+					continue
+				}
+				row := x[(ci*h+ii)*w : (ci*h+ii+1)*w]
+				for oj := 0; oj < outW; oj++ {
+					seg := band[oj*kk+t : oj*kk+t+k]
+					j0 := oj*stride - pad
+					if oj >= lo && oj < hi {
+						copy(seg, row[j0:j0+k])
+						continue
+					}
+					for kj := range seg {
+						if jj := j0 + kj; jj >= 0 && jj < w {
+							seg[kj] = row[jj]
+						} else {
+							seg[kj] = 0
 						}
-						idx++
 					}
 				}
 			}

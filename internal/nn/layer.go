@@ -28,10 +28,21 @@ type State struct {
 	accumGrads bool
 
 	x     *tensor.T // layer input (conv, dense, pool)
-	cols  []float32 // conv im2col columns for the whole batch
-	dcols []float32 // conv backward per-sample column gradients
+	cols  []float32 // conv pixel-major patches for the whole batch; input-gradient columns in Backward
+	wt    []float32 // conv backward: W transposed to [InC*K*K][OutC]
+	dyt   []float32 // conv backward: dy transposed to [pixels][OutC], one chunk of samples
 	mask  []bool    // relu activation mask
 	shape []int     // flatten input shape
+}
+
+// grow returns (*buf)[:n], reallocating *buf when its capacity is
+// short. Contents are unspecified; callers overwrite every element.
+func grow(buf *[]float32, n int) []float32 {
+	if cap(*buf) < n {
+		*buf = make([]float32, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // release drops references to pass inputs so pooled States do not pin

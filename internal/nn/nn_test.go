@@ -169,14 +169,18 @@ func TestAvgPool(t *testing.T) {
 func TestReLU(t *testing.T) {
 	r := &ReLU{}
 	st := &State{}
-	x := tensor.FromSlice([]float32{-1, 2}, 2)
+	nan := float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	// Zero and -0 are switched off (to +0, with no gradient); NaN is
+	// passed through with its gradient.
+	x := tensor.FromSlice([]float32{-1, 2, 0, negZero, nan}, 5)
 	y := r.Forward(x, st)
-	if y.Data[0] != 0 || y.Data[1] != 2 {
-		t.Fatal("relu forward wrong")
+	if y.Data[0] != 0 || y.Data[1] != 2 || math.Float32bits(y.Data[2]) != 0 || math.Float32bits(y.Data[3]) != 0 || !math.IsNaN(float64(y.Data[4])) {
+		t.Fatalf("relu forward wrong: %v", y.Data)
 	}
-	dx := r.Backward(tensor.FromSlice([]float32{5, 5}, 2), st)
-	if dx.Data[0] != 0 || dx.Data[1] != 5 {
-		t.Fatal("relu backward wrong")
+	dx := r.Backward(tensor.FromSlice([]float32{5, 5, 5, 5, 5}, 5), st)
+	if dx.Data[0] != 0 || dx.Data[1] != 5 || dx.Data[2] != 0 || dx.Data[3] != 0 || dx.Data[4] != 5 {
+		t.Fatalf("relu backward wrong: %v", dx.Data)
 	}
 }
 

@@ -1,0 +1,237 @@
+package nn_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/models"
+	"repro/internal/nn"
+	"repro/internal/tensor"
+)
+
+// sameBits fails unless got and want are bit-for-bit equal (so +0 and
+// -0, or two NaN payloads, count as different).
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d]: tiled %v (%#08x) != reference %v (%#08x)",
+				what, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// spiky fills data with values in [-1,1) where every fifth element is
+// exactly zero, so kernels see exact-zero weights, zero and negative
+// activations, and zero and negative output gradients.
+func spiky(data []float32, rng *rand.Rand) {
+	for i := range data {
+		if rng.Intn(5) == 0 {
+			data[i] = 0
+		} else {
+			data[i] = rng.Float32()*2 - 1
+		}
+	}
+}
+
+// zeroSomeWeights sets every seventh conv and dense weight to exactly
+// zero, the case the reference kernels skip.
+func zeroSomeWeights(net *nn.Network) {
+	for _, p := range net.Params() {
+		for i := 0; i < len(p.W); i += 7 {
+			p.W[i] = 0
+		}
+	}
+}
+
+// TestFloatTiledParity pins the tiled conv kernels to the reference
+// kernels bit for bit: forward outputs, input gradients, and weight
+// and bias gradients, on every shape the model builders produce and
+// on edge shapes, for batches and single samples.
+func TestFloatTiledParity(t *testing.T) {
+	t.Run("layers", func(t *testing.T) {
+		type shape struct{ inC, outC, k, stride, pad, h, w int }
+		shapes := []shape{
+			{1, 6, 5, 1, 2, 28, 28},  // LeNet-5 conv1, digits
+			{6, 16, 5, 1, 0, 14, 14}, // LeNet-5 conv2, digits
+			{16, 120, 5, 1, 0, 5, 5}, // LeNet-5 conv3, digits: P = 1
+			{3, 6, 5, 1, 2, 32, 32},  // LeNet-5 conv1, 3x32x32
+			{16, 120, 5, 1, 0, 6, 6}, // LeNet-5 conv3, 3x32x32
+			{3, 32, 3, 1, 1, 32, 32}, // AlexNet conv1
+			{96, 64, 3, 1, 1, 8, 8},  // AlexNet conv4
+			{2, 5, 3, 2, 0, 7, 7},    // stride 2, OutC and P odd
+			{3, 7, 3, 2, 1, 9, 8},    // stride 2, pad 1, non-square
+			{2, 3, 5, 2, 2, 6, 5},    // stride 2, pad 2, edge-clipped patches
+			{4, 9, 4, 1, 0, 4, 4},    // P = 1, OutC = 9
+			{1, 1, 1, 1, 0, 3, 3},    // 1x1 kernel, one channel
+			{5, 4, 3, 3, 2, 5, 5},    // stride 3 with pad 2
+			{3, 11, 2, 1, 1, 1, 1},   // input smaller than the kernel
+			{8, 13, 3, 1, 1, 3, 3},   // OutC = 13 (4k+1 rows)
+			{6, 16, 5, 1, 0, 5, 6},   // P = 2
+			{4, 5, 3, 1, 0, 8, 8},    // P = 36: dy transposed two samples at a time, last chunk partial at n = 3
+		}
+		for _, sh := range shapes {
+			for _, n := range []int{0, 1, 3, 6} { // 0: unbatched sample
+				name := fmt.Sprintf("in%dx%dx%d_out%d_k%d_s%d_p%d_n%d", sh.inC, sh.h, sh.w, sh.outC, sh.k, sh.stride, sh.pad, n)
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(sh.inC*1000 + sh.outC*10 + n)))
+					tiled := nn.NewConv2D(sh.inC, sh.outC, sh.k, sh.stride, sh.pad, rng)
+					spiky(tiled.W, rng)
+					spiky(tiled.B, rng)
+					ref := tiled.CloneDetached().(*nn.Conv2D)
+
+					xShape := []int{sh.inC, sh.h, sh.w}
+					if n > 0 {
+						xShape = append([]int{n}, xShape...)
+					}
+					x := tensor.New(xShape...)
+					spiky(x.Data, rng)
+
+					// Run the backward pass twice, so weight gradients
+					// accumulate over a second pass too.
+					for pass := 0; pass < 2; pass++ {
+						tst, rst := nn.TrainingState(), nn.TrainingState()
+						y := tiled.Forward(x, tst)
+						yRef := nn.RefConv(ref).Forward(x, rst)
+						sameBits(t, "forward", y.Data, yRef.Data)
+
+						dy := tensor.New(y.Shape...)
+						spiky(dy.Data, rng)
+						dx := tiled.Backward(dy, tst)
+						dxRef := nn.RefConv(ref).Backward(dy, rst)
+						sameBits(t, "input gradient", dx.Data, dxRef.Data)
+						sameBits(t, "weight gradient", tiled.GW, ref.GW)
+						sameBits(t, "bias gradient", tiled.GB, ref.GB)
+					}
+				})
+			}
+		}
+	})
+
+	t.Run("models", func(t *testing.T) {
+		nets := []struct {
+			net   *nn.Network
+			shape []int
+		}{
+			{models.LeNet5(1, 28, 28, 10, 1), []int{1, 28, 28}},
+			{models.LeNet5(3, 32, 32, 10, 2), []int{3, 32, 32}},
+			{models.AlexNet(3, 32, 32, 10, 3), []int{3, 32, 32}},
+			{models.FFNN(28*28, 10, 4), []int{28 * 28}},
+		}
+		for _, tc := range nets {
+			t.Run(fmt.Sprintf("%s_%v", tc.net.Name, tc.shape), func(t *testing.T) {
+				zeroSomeWeights(tc.net)
+				ref := nn.RefNetwork(tc.net)
+				rng := rand.New(rand.NewSource(5))
+				const n = 3
+				xs := make([]*tensor.T, n)
+				labels := make([]int, n)
+				for r := range xs {
+					xs[r] = tensor.New(tc.shape...)
+					spiky(xs[r].Data, rng)
+					labels[r] = rng.Intn(10)
+				}
+				batch := tensor.Stack(xs)
+
+				sameBits(t, "LogitsBatch", tc.net.LogitsBatch(batch).Data, ref.LogitsBatch(batch).Data)
+				losses, grad := tc.net.LossGradBatch(batch, labels)
+				refLosses, refGrad := ref.LossGradBatch(batch, labels)
+				sameBits(t, "LossGradBatch loss", losses, refLosses)
+				sameBits(t, "LossGradBatch grad", grad.Data, refGrad.Data)
+
+				// Batch rows against scalar calls, tiled against reference.
+				for r, x := range xs {
+					sameBits(t, fmt.Sprintf("Logits row %d", r), tc.net.Logits(x), ref.LogitsBatch(batch).Row(r).Data)
+					_, g := tc.net.LossGrad(x, labels[r])
+					sameBits(t, fmt.Sprintf("LossGrad row %d", r), g.Data, refGrad.Row(r).Data)
+				}
+
+				// Weight gradients through the training path.
+				tc.net.ZeroGrads()
+				ref.ZeroGrads()
+				for r, x := range xs {
+					l, lRef := tc.net.AccumGrad(x, labels[r]), ref.AccumGrad(x, labels[r])
+					sameBits(t, "AccumGrad loss", []float32{l}, []float32{lRef})
+				}
+				ps, refPs := tc.net.Params(), ref.Params()
+				for i := range ps {
+					sameBits(t, fmt.Sprintf("param %d (%s) gradient", i, ps[i].Name), ps[i].G, refPs[i].G)
+				}
+			})
+		}
+	})
+}
+
+// BenchmarkFloatTiledVsSeed measures the float craft path's unit of
+// work — one LeNet-5 LossGradBatch (forward plus input gradient) on a
+// batch of 6 digits-shaped inputs — through the reference conv kernels
+// (seed) and the tiled ones (tiled). cmd/axbench gates the "paired"
+// sub-benchmark's interleaved cost ratio against BENCH_axnn.json;
+// TestFloatTiledParity pins the two paths to identical bytes.
+func BenchmarkFloatTiledVsSeed(b *testing.B) {
+	net := models.LeNet5(1, 28, 28, 10, 7)
+	ref := nn.RefNetwork(net)
+	rng := rand.New(rand.NewSource(8))
+	const n = 6
+	xs := make([]*tensor.T, n)
+	labels := make([]int, n)
+	for r := range xs {
+		xs[r] = tensor.New(1, 28, 28)
+		for i := range xs[r].Data {
+			xs[r].Data[i] = rng.Float32()
+		}
+		labels[r] = r
+	}
+	batch := tensor.Stack(xs)
+	b.Run("seed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ref.LossGradBatch(batch, labels)
+		}
+	})
+	b.Run("tiled", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			net.LossGradBatch(batch, labels)
+		}
+	})
+	b.Run("paired", func(b *testing.B) {
+		pairedRel(b,
+			func() { ref.LossGradBatch(batch, labels) },
+			func() { net.LossGradBatch(batch, labels) })
+	})
+}
+
+// pairedRel times ref and opt back to back in every benchmark
+// iteration and reports the median per-round opt/ref cost ratio as a
+// "paired-rel" metric (plus the reciprocal speedup), the load-robust
+// estimator cmd/axbench gates on. Same pattern as the root package's
+// kernel benchmarks.
+func pairedRel(b *testing.B, ref, opt func()) {
+	ref()
+	opt()
+	rels := make([]float64, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		ref()
+		dRef := time.Since(t0)
+		t1 := time.Now()
+		opt()
+		dOpt := time.Since(t1)
+		rels = append(rels, float64(dOpt)/float64(dRef))
+	}
+	b.StopTimer()
+	sort.Float64s(rels)
+	med := rels[len(rels)/2]
+	if n := len(rels); n%2 == 0 {
+		med = (rels[n/2-1] + rels[n/2]) / 2
+	}
+	b.ReportMetric(med, "paired-rel")
+	b.ReportMetric(1/med, "x-speedup")
+}
