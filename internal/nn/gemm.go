@@ -10,8 +10,9 @@ package nn
 //     dy transposed per call into State scratch (reduction over output
 //     channels).
 //
-// The pixel index j = s*P+i spans the whole batch, so a layer with a
-// 1x1 output (LeNet-5's conv3) still fills pixel tiles.
+// The pixel index j = s*P+i spans the whole batch (for the input
+// gradient, a chunk of whole samples of at least 64 pixels), so a layer
+// with a 1x1 output (LeNet-5's conv3) still fills pixel tiles.
 //
 // Every output element is one dot product reduced in ascending index
 // order into an accumulator that starts at +0, exactly as the
