@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -49,8 +50,15 @@ func main() {
 	if err != nil {
 		cli.Fail("axquant", err)
 	}
+	ctx := context.Background()
+	// One cache across the ten attacks: the eps=0 clean row and its
+	// victim predictions are shared by every grid.
+	cache := core.NewCache(core.CacheConfig{})
 	for _, atk := range attack.TableI() {
-		g := core.RobustnessGrid(m.Net, victims, m.Test, atk, eps, core.Options{Samples: *n, Seed: 5})
+		g, err := cache.RobustnessGrid(ctx, m.Net, victims, m.Test, atk, eps, core.Options{Samples: *n, Seed: 5})
+		if err != nil {
+			cli.Fail("axquant", err)
+		}
 		fmt.Print(g)
 		q, qok := g.Column(victims[1].Name)
 		f, fok := g.Column("float")

@@ -30,9 +30,9 @@
 //
 // With -peers set, multi-grid suites shard across nodes: this node
 // keeps some grids, fans the rest out to its peers' internal shard
-// endpoints, and merges the partial reports — byte-identical to a
-// single-node run. A peer that fails mid-shard degrades to local
-// fallback, never to a failed job. Nodes sharing one -data-dir also
+// endpoints, and assembles one report, byte-identical to a single-node
+// run. A peer that fails mid-shard, or sends a report that does not
+// check out, degrades to local fallback, never to a failed job. Nodes sharing one -data-dir also
 // share the disk cache tier, so a batch crafted on one shard replays
 // everywhere. -cell-workers > 1 additionally runs that many cells of
 // each suite concurrently on this node.

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,12 +48,20 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx := context.Background()
+	cache := core.NewCache(core.CacheConfig{})
 	opts := core.Options{Samples: 200, Seed: 11}
 	for _, atk := range []attack.Attack{attack.ByName("PGD-linf"), attack.ByName("CR-l2")} {
 		fmt.Printf("=== %s ===\n", atk.Name())
-		gl := core.RobustnessGrid(lenet.Net, lenetVictims, lenet.Test, atk, eps, opts)
+		gl, err := cache.RobustnessGrid(ctx, lenet.Net, lenetVictims, lenet.Test, atk, eps, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("[LeNet-5]\n%s", gl)
-		gf := core.RobustnessGrid(ffnn.Net, ffnnVictims, ffnn.Test, atk, eps, opts)
+		gf, err := cache.RobustnessGrid(ctx, ffnn.Net, ffnnVictims, ffnn.Test, atk, eps, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("[FFNN]\n%s", gf)
 		summarize(gl, "17KS")
 		summarize(gf, "L1G")

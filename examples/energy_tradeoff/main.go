@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,8 +31,11 @@ func main() {
 		log.Fatal(err)
 	}
 	const eps = 0.05
-	g := core.RobustnessGrid(m.Net, victims, m.Test, attack.ByName("BIM-linf"),
-		[]float64{0, eps}, core.Options{Samples: 200, Seed: 7})
+	g, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(context.Background(), m.Net, victims, m.Test,
+		attack.ByName("BIM-linf"), []float64{0, eps}, core.Options{Samples: 200, Seed: 7})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	macs := lenetMACs(m.Net)
 	fmt.Printf("LeNet-5: %d conv MACs + %d dense MACs per inference\n\n", macs.Conv, macs.Dense)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,9 +34,13 @@ func main() {
 	victims = append(victims, ax...)
 
 	eps := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.5}
+	cache := core.NewCache(core.CacheConfig{})
 	opts := core.Options{Samples: 200, Seed: 5}
 	for _, name := range []string{"PGD-linf", "BIM-linf", "FGM-linf"} {
-		g := core.RobustnessGrid(m.Net, victims, m.Test, attack.ByName(name), eps, opts)
+		g, err := cache.RobustnessGrid(context.Background(), m.Net, victims, m.Test, attack.ByName(name), eps, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Print(g)
 		q, _ := g.Column(g.Victims[1])
 		f, fok := g.Column("float")

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,8 @@ func main() {
 
 	// 4. Run Algorithm 1: craft PGD-linf examples on the accurate float
 	// model, replay them on both victims.
-	grid := core.RobustnessGrid(
+	grid, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(
+		context.Background(),
 		m.Net,
 		[]core.Victim{core.NewVictim("q8-accurate", q), core.NewVictim("AxDNN-JV3", axdnn)},
 		m.Test,
@@ -52,6 +54,9 @@ func main() {
 		[]float64{0, 0.05, 0.1, 0.2},
 		core.Options{Samples: 150, Seed: 1},
 	)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
 	fmt.Print(grid)
 	loss, victim, eps := grid.MaxAccuracyLoss()

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,9 +38,13 @@ func main() {
 		log.Fatal(err)
 	}
 	eps := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1, 1.5, 2}
+	cache := core.NewCache(core.CacheConfig{})
 	opts := core.Options{Samples: 200, Seed: 7}
 	for _, name := range []string{"BIM-linf", "RAU-linf"} {
-		g := core.RobustnessGrid(m.Net, victims, m.Test, attack.ByName(name), eps, opts)
+		g, err := cache.RobustnessGrid(context.Background(), m.Net, victims, m.Test, attack.ByName(name), eps, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Print(g)
 		loss, victim, at := g.MaxAccuracyLoss()
 		fmt.Printf("-> max loss %.0f%% on %s at eps=%g\n\n", loss, victim, at)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,7 @@ import (
 func main() {
 	atk := attack.ByName("BIM-linf")
 	const eps = 0.05
+	cache := core.NewCache(core.CacheConfig{})
 	opts := core.Options{Samples: 200, Seed: 17}
 
 	lenet, err := modelzoo.Get("lenet5-digits32")
@@ -53,7 +55,10 @@ func main() {
 		{"AccAlx -> AxAlx", alex, axAlex[0]},
 	}
 	for _, c := range cells {
-		r := core.Transfer(c.source.Net, c.victim, c.source.Test, atk, eps, opts)
+		r, err := cache.Transfer(context.Background(), c.source.Net, c.victim, c.source.Test, atk, eps, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %s : %3.0f/%-3.0f\n", c.label, r.CleanAcc, r.AdvAcc)
 	}
 	fmt.Println("\nAttacks transfer across both exactness and architecture boundaries (A2).")

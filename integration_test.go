@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -40,7 +41,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	eps := []float64{0, 0.1, 0.25}
-	grid := core.RobustnessGrid(net, victims, testSet, attack.ByName("BIM-linf"), eps, core.Options{Samples: 120, Seed: 2})
+	grid, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(context.Background(), net, victims, testSet,
+		attack.ByName("BIM-linf"), eps, core.Options{Samples: 120, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Clean row: quantized accurate within a few points of float.
 	if diff := 100*floatAcc - grid.Acc[0][0]; diff > 6 || diff < -6 {
@@ -78,12 +83,21 @@ func TestAlgorithmOneAmortization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := core.RobustnessGrid(net,
+	// Separate caches: the second sweep re-crafts, so equal columns
+	// show the crafted inputs do not depend on the victim set.
+	ctx := context.Background()
+	single, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(ctx, net,
 		[]core.Victim{core.NewVictim("q", q)},
 		testSet, attack.ByName("FGM-linf"), []float64{0.1}, core.Options{Samples: 100, Seed: 4})
-	double := core.RobustnessGrid(net,
+	if err != nil {
+		t.Fatal(err)
+	}
+	double, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(ctx, net,
 		[]core.Victim{core.NewVictim("other", q.WithMultiplier(axmult.MustLookup("mul8u_JV3"))), core.NewVictim("q", q)},
 		testSet, attack.ByName("FGM-linf"), []float64{0.1}, core.Options{Samples: 100, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if single.Acc[0][0] != double.Acc[0][1] {
 		t.Fatalf("victim set changed the crafted attacks: %f vs %f", single.Acc[0][0], double.Acc[0][1])
 	}

@@ -56,13 +56,6 @@ type Options struct {
 	NoZeroPointCorrection bool
 	// Multiplier is the initial multiplier; nil means the exact design.
 	Multiplier *axmult.LUT
-	// Workers caps intra-batch sample parallelism: LogitsBatch splits
-	// its samples across up to Workers goroutines, each owning a pooled
-	// workspace. 0 or 1 keeps the serial behavior; rows are bit-for-bit
-	// independent of the worker count. Useful for large-sample cells,
-	// EOT averaging, and hardened-training crafting, where a single
-	// call carries enough samples to fill a machine by itself.
-	Workers int
 }
 
 // Network is a compiled quantized network.
@@ -76,11 +69,11 @@ type Network struct {
 	inQP        quant.Params
 	approxDense bool
 	noZP        bool
-	workers     int
 	ref         bool // route conv/dense through the retained pre-PR kernel
 
 	// pool hands out per-goroutine workspace arenas sized from hint.
-	// It is a pointer so WithMultiplier/WithWorkers copies share it.
+	// It is a pointer so WithMultiplier/WithReferenceKernel copies
+	// share it.
 	pool *sync.Pool
 	hint wsHint
 }
@@ -145,7 +138,6 @@ func Compile(n *nn.Network, calib []*tensor.T, opts Options) (*Network, error) {
 		inQP:        quant.Calibrate(inMin, inMax, bits),
 		approxDense: opts.ApproxDense,
 		noZP:        opts.NoZeroPointCorrection,
-		workers:     opts.Workers,
 	}
 	// Shape walk alongside layer compilation: the workspace hint
 	// records the largest im2col, accumulator, and activation
@@ -281,15 +273,6 @@ func (q *Network) WithMultiplier(l *axmult.LUT) *Network {
 	return &c
 }
 
-// WithWorkers returns a shallow copy whose LogitsBatch splits samples
-// across up to n goroutines (see Options.Workers). The copy shares
-// layers and the workspace pool.
-func (q *Network) WithWorkers(n int) *Network {
-	c := *q
-	c.workers = n
-	return &c
-}
-
 // WithReferenceKernel returns a shallow copy that routes conv and
 // dense stages through the retained pre-tiling kernel (naive
 // activation-major LUT indexing, per-call scratch). It exists for the
@@ -314,53 +297,18 @@ func (q *Network) Logits(x *tensor.T) []float32 {
 // and returns the [N, classes] logits. The whole batch shares one
 // quantization pass and pooled im2col/accumulator workspaces per conv
 // stage, so the LUT work is amortised; row r is bit-for-bit identical
-// to Logits on sample r, for any Workers setting. Safe for concurrent
-// use.
+// to Logits on sample r. Safe for concurrent use; callers that want
+// parallelism split their batch across goroutines (core does, per
+// chunk), each pass checking out its own pooled workspace.
 func (q *Network) LogitsBatch(xs *tensor.T) *tensor.T {
 	n := xs.Shape[0]
 	out := q.run(xs.Data, xs.Shape[1:], n)
 	return tensor.FromSlice(out, n, len(out)/n)
 }
 
-// run pushes n packed samples through the layers, splitting them
-// across workers when intra-batch parallelism is enabled. Per-sample
-// results are independent deterministic integer arithmetic, so the
-// split is invisible in the output.
+// run quantizes n packed samples and pushes them through the layer
+// stack on a pooled workspace.
 func (q *Network) run(data []float32, sampleShape []int, n int) []float32 {
-	w := q.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		return q.runChunk(data, sampleShape, n)
-	}
-	vol := len(data) / n
-	chunk := (n + w - 1) / w
-	parts := make([][]float32, (n+chunk-1)/chunk)
-	var wg sync.WaitGroup
-	for ci, lo := 0, 0; lo < n; ci, lo = ci+1, lo+chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(ci, lo, hi int) {
-			defer wg.Done()
-			parts[ci] = q.runChunk(data[lo*vol:hi*vol], sampleShape, hi-lo)
-		}(ci, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]float32, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// runChunk quantizes one contiguous chunk of samples and pushes it
-// through the layer stack on a pooled workspace.
-func (q *Network) runChunk(data []float32, sampleShape []int, n int) []float32 {
 	in := qtensor{n: n, shape: sampleShape, qp: q.inQP}
 	var ws *workspace
 	if q.ref {

@@ -6,7 +6,7 @@ import "sync"
 // layer stack: im2col columns, zero-point activation sums, register-
 // blocked accumulators, ping-pong activation buffers, and the dense
 // float staging area. Workspaces are checked out of the Network's
-// sync.Pool per runChunk call (one per concurrent goroutine), presized
+// sync.Pool per run call (one per concurrent goroutine), presized
 // at Compile from the calibration shape, and grown on demand — so the
 // steady-state forward pass allocates only its returned logits.
 type workspace struct {
@@ -109,8 +109,8 @@ func u64(buf *[]uint64, n int) []uint64 {
 }
 
 // getWS checks a workspace out of the network's pool; putWS returns it.
-// The pool is shared by every WithMultiplier/WithWorkers copy of a
-// compiled network (the layer geometry is identical), so chunked
+// The pool is shared by every WithMultiplier/WithReferenceKernel copy
+// of a compiled network (the layer geometry is identical), so chunked
 // evaluation fan-outs in internal/core reuse the same arenas across
 // goroutines and grid cells instead of re-allocating per call.
 func (q *Network) getWS() *workspace {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/attack"
@@ -66,15 +67,18 @@ type TransferResult struct {
 // Transfer crafts adversarial examples on src (accurate float model)
 // and measures victim accuracy before and after — the paper's
 // transferability protocol with BIM-linf at eps=0.05.
-func Transfer(src *nn.Network, victim Victim, set *dataset.Set, atk attack.Attack, eps float64, opts Options) TransferResult {
-	g := RobustnessGrid(src, []Victim{victim}, set, atk, []float64{0, eps}, opts)
+func (c *Cache) Transfer(ctx context.Context, src *nn.Network, victim Victim, set *dataset.Set, atk attack.Attack, eps float64, opts Options) (TransferResult, error) {
+	g, err := c.RobustnessGrid(ctx, src, []Victim{victim}, set, atk, []float64{0, eps}, opts)
+	if err != nil {
+		return TransferResult{}, err
+	}
 	return TransferResult{
 		Source:   src.Name,
 		Victim:   victim.Name,
 		Dataset:  set.Name,
 		CleanAcc: g.Acc[0][0],
 		AdvAcc:   g.Acc[1][0],
-	}
+	}, nil
 }
 
 // String renders the result in Table II's "before/after" notation.

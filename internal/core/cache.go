@@ -192,25 +192,6 @@ func NewCache(cfg CacheConfig) *Cache {
 	return c
 }
 
-// defaultCache backs the package-level compatibility API
-// (RobustnessGrid and friends) when Options.Cache is nil.
-var defaultCache = NewCache(CacheConfig{})
-
-// DefaultCache returns the shared package-level cache used when
-// Options.Cache is nil. Prefer per-engine caches (NewCache) in new
-// code; the default exists so the one-call RobustnessGrid path keeps
-// deduplicating across sweeps.
-func DefaultCache() *Cache { return defaultCache }
-
-// ClearCraftedCache drops every batch and prediction memoised in the
-// shared default cache. Per-engine caches are cleared with
-// Cache.Clear.
-func ClearCraftedCache() { defaultCache.Clear() }
-
-// CraftedCacheLen reports the number of batches memoised in the
-// shared default cache.
-func CraftedCacheLen() int { return defaultCache.CraftedLen() }
-
 // Clear drops every memoised adversarial batch and victim prediction.
 // Weight changes invalidate entries automatically (the keys
 // fingerprint the network), so this exists to reclaim memory in

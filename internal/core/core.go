@@ -21,13 +21,12 @@
 // attack-independent eps=0 clean row, or the same (attack, eps) cell
 // across figures — replay nothing twice.
 //
-// Caches are injectable (Options.Cache): each engine owns its own,
-// two engines never interfere, and the crafting/prediction worker
-// loops observe context cancellation. RobustnessGridCtx is the full
-// API; RobustnessGrid is a compatibility wrapper over the shared
-// default cache. Whole declared suites (many attacks, one spec, one
-// cache, streaming progress) live one level up in
-// internal/experiment.
+// Every sweep runs against an explicit Cache (NewCache): the single
+// grid of Cache.RobustnessGrid and Cache.Transfer here, whole declared
+// suites (many attacks, one spec, streaming progress, sharding) one
+// level up in internal/experiment. There is no process-global cache,
+// so two callers never interfere, and the crafting/prediction worker
+// loops observe context cancellation.
 package core
 
 import (
@@ -42,9 +41,9 @@ import (
 )
 
 // Victim is a named classifier under evaluation. Factory is invoked
-// once per RobustnessGrid call and must return a model that is safe
-// for concurrent Logits calls — both the float nn networks and
-// compiled axnn networks now are. Models that additionally implement
+// once per sweep and must return a model that is safe for concurrent
+// Logits calls — both the float nn networks and compiled axnn
+// networks now are. Models that additionally implement
 // attack.BatchModel are evaluated with LogitsBatch. Factories that
 // return a stable model across calls additionally let the prediction
 // memo span grids.
@@ -77,10 +76,6 @@ type Options struct {
 	// Batch caps the crafting/evaluation batch size (0 = derived from
 	// the worker count, at most maxBatch).
 	Batch int
-	// Cache memoises crafted batches and victim predictions. nil
-	// selects the shared package default (DefaultCache); engines that
-	// must not interfere with each other inject their own NewCache.
-	Cache *Cache
 }
 
 func (o Options) workers() int {
@@ -88,13 +83,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) cache() *Cache {
-	if o.Cache != nil {
-		return o.Cache
-	}
-	return defaultCache
 }
 
 // maxBatch bounds the default batch on huge sample counts. With the
@@ -133,28 +121,13 @@ type Grid struct {
 	Acc [][]float64 `json:"acc"`
 }
 
-// RobustnessGrid runs Algorithm 1 with the shared default cache and
-// no cancellation — the one-call compatibility path. New code that
-// needs cancellation, progress, or an isolated cache should use
-// RobustnessGridCtx (or the internal/experiment engine for whole
-// suites).
-func RobustnessGrid(src *nn.Network, victims []Victim, set *dataset.Set, atk attack.Attack, eps []float64, opts Options) *Grid {
-	g, err := RobustnessGridCtx(context.Background(), src, victims, set, atk, eps, opts)
-	if err != nil {
-		// Unreachable: the only error source is ctx cancellation and
-		// the background context never cancels.
-		panic(err)
-	}
-	return g
-}
-
-// RobustnessGridCtx runs Algorithm 1: for every budget in eps, craft
-// adversarial examples on the accurate source model (or recall them
-// from the cache) and evaluate every victim on them. It returns
+// RobustnessGrid runs Algorithm 1 for one attack: for every budget in
+// eps, craft adversarial examples on the accurate source model (or
+// recall them from c) and evaluate every victim on them. It returns
 // ctx.Err() promptly — at the next crafting/evaluation chunk boundary
 // — when ctx is cancelled, leaking no goroutines and memoising no
 // partial results.
-func RobustnessGridCtx(ctx context.Context, src *nn.Network, victims []Victim, set *dataset.Set, atk attack.Attack, eps []float64, opts Options) (*Grid, error) {
+func (c *Cache) RobustnessGrid(ctx context.Context, src *nn.Network, victims []Victim, set *dataset.Set, atk attack.Attack, eps []float64, opts Options) (*Grid, error) {
 	test := set.Slice(opts.Samples)
 	g := &Grid{
 		Attack:  atk.Name(),
@@ -178,15 +151,14 @@ func RobustnessGridCtx(ctx context.Context, src *nn.Network, victims []Victim, s
 		}
 		return g, nil
 	}
-	cache := opts.cache()
 	for ei, e := range eps {
-		adv, _, err := cache.CraftedBatch(ctx, src, test, atk, e, opts)
+		adv, _, err := c.CraftedBatch(ctx, src, test, atk, e, opts)
 		if err != nil {
 			return nil, err
 		}
 		row := make([]float64, len(models))
 		for vi, m := range models {
-			preds, _, err := cache.Predictions(ctx, m, adv, opts)
+			preds, _, err := c.Predictions(ctx, m, adv, opts)
 			if err != nil {
 				return nil, err
 			}

@@ -35,6 +35,17 @@ func getFixture(t *testing.T) *fixture {
 	return fix
 }
 
+// mustGrid runs c.RobustnessGrid on a background context, which never
+// cancels, so any error fails the test.
+func mustGrid(t *testing.T, c *Cache, src *nn.Network, victims []Victim, set *dataset.Set, atk attack.Attack, eps []float64, opts Options) *Grid {
+	t.Helper()
+	g, err := c.RobustnessGrid(context.Background(), src, victims, set, atk, eps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestRobustnessGridShapeAndBaseline(t *testing.T) {
 	f := getFixture(t)
 	victims, err := BuildAxVictims(f.net, f.test, []string{"mul8u_1JFF", "mul8u_JV3"}, axnn.Options{})
@@ -42,7 +53,7 @@ func TestRobustnessGridShapeAndBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	atk := attack.ByName("FGM-linf")
-	g := RobustnessGrid(f.net, victims, f.test, atk, []float64{0, 0.1}, Options{Samples: 80, Seed: 3})
+	g := mustGrid(t, NewCache(CacheConfig{}), f.net, victims, f.test, atk, []float64{0, 0.1}, Options{Samples: 80, Seed: 3})
 	if len(g.Acc) != 2 || len(g.Acc[0]) != 2 {
 		t.Fatalf("grid shape %dx%d", len(g.Acc), len(g.Acc[0]))
 	}
@@ -65,8 +76,8 @@ func TestGridDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	atk := attack.ByName("RAU-linf")
-	a := RobustnessGrid(f.net, victims, f.test, atk, []float64{0.2}, Options{Samples: 60, Seed: 9})
-	b := RobustnessGrid(f.net, victims, f.test, atk, []float64{0.2}, Options{Samples: 60, Seed: 9})
+	a := mustGrid(t, NewCache(CacheConfig{}), f.net, victims, f.test, atk, []float64{0.2}, Options{Samples: 60, Seed: 9})
+	b := mustGrid(t, NewCache(CacheConfig{}), f.net, victims, f.test, atk, []float64{0.2}, Options{Samples: 60, Seed: 9})
 	if a.Acc[0][0] != b.Acc[0][0] {
 		t.Fatalf("grid not deterministic: %f vs %f", a.Acc[0][0], b.Acc[0][0])
 	}
@@ -164,8 +175,8 @@ func TestCraftedCacheReuse(t *testing.T) {
 	}
 	c := NewCache(CacheConfig{})
 	atk := attack.ByName("PGD-linf")
-	opts := Options{Samples: 40, Seed: 13, Cache: c}
-	a := RobustnessGrid(f.net, victims, f.test, atk, []float64{0, 0.1}, opts)
+	opts := Options{Samples: 40, Seed: 13}
+	a := mustGrid(t, c, f.net, victims, f.test, atk, []float64{0, 0.1}, opts)
 	filled := c.CraftedLen()
 	if filled != 2 {
 		t.Fatalf("cache holds %d batches after a 2-eps grid, want 2", filled)
@@ -178,7 +189,7 @@ func TestCraftedCacheReuse(t *testing.T) {
 		t.Fatalf("stats gauges = %d entries / %d bytes, want 2 entries and positive bytes", st.CraftEntries, st.CraftBytes)
 	}
 	// A second identical sweep must reuse every batch and agree exactly.
-	b := RobustnessGrid(f.net, victims, f.test, atk, []float64{0, 0.1}, opts)
+	b := mustGrid(t, c, f.net, victims, f.test, atk, []float64{0, 0.1}, opts)
 	if c.CraftedLen() != filled {
 		t.Fatalf("identical sweep re-crafted: %d batches", c.CraftedLen())
 	}
@@ -219,13 +230,13 @@ func TestCrossSweepCellReuse(t *testing.T) {
 	}
 	c := NewCache(CacheConfig{})
 	atk := attack.ByName("PGD-linf")
-	opts := Options{Samples: 40, Seed: 21, Cache: c}
-	a := RobustnessGrid(f.net, victims, f.test, atk, []float64{0, 0.1, 0.2}, opts)
+	opts := Options{Samples: 40, Seed: 21}
+	a := mustGrid(t, c, f.net, victims, f.test, atk, []float64{0, 0.1, 0.2}, opts)
 	filled := c.CraftedLen() // clean batch + eps 0.1 + eps 0.2
 	if filled != 3 {
 		t.Fatalf("cache holds %d batches, want 3", filled)
 	}
-	b := RobustnessGrid(f.net, victims, f.test, atk, []float64{0.05, 0.1}, opts)
+	b := mustGrid(t, c, f.net, victims, f.test, atk, []float64{0.05, 0.1}, opts)
 	if c.CraftedLen() != filled+1 {
 		t.Fatalf("misaligned sweep re-crafted shared cells: %d batches, want %d", c.CraftedLen(), filled+1)
 	}
@@ -247,10 +258,10 @@ func TestCraftedCacheEpsRoundoff(t *testing.T) {
 	}
 	c := NewCache(CacheConfig{})
 	atk := attack.ByName("PGD-linf")
-	opts := Options{Samples: 30, Seed: 8, Cache: c}
-	a := RobustnessGrid(f.net, victims, f.test, atk, []float64{0.1 * 3}, opts)
+	opts := Options{Samples: 30, Seed: 8}
+	a := mustGrid(t, c, f.net, victims, f.test, atk, []float64{0.1 * 3}, opts)
 	filled := c.CraftedLen()
-	b := RobustnessGrid(f.net, victims, f.test, atk, []float64{0.3}, opts)
+	b := mustGrid(t, c, f.net, victims, f.test, atk, []float64{0.3}, opts)
 	if c.CraftedLen() != filled {
 		t.Fatalf("round-off twin budgets crafted separately (%d entries)", c.CraftedLen())
 	}
@@ -273,10 +284,10 @@ func TestCraftedCacheKeysAttackConfig(t *testing.T) {
 	short := attack.NewPGD(attack.Linf)
 	long := attack.NewPGD(attack.Linf)
 	long.Steps = 40
-	opts := Options{Samples: 30, Seed: 5, Cache: c}
-	RobustnessGrid(f.net, victims, f.test, short, []float64{0.1}, opts)
+	opts := Options{Samples: 30, Seed: 5}
+	mustGrid(t, c, f.net, victims, f.test, short, []float64{0.1}, opts)
 	filled := c.CraftedLen()
-	RobustnessGrid(f.net, victims, f.test, long, []float64{0.1}, opts)
+	mustGrid(t, c, f.net, victims, f.test, long, []float64{0.1}, opts)
 	if c.CraftedLen() != filled+1 {
 		t.Fatalf("differently-configured attacks shared a cache entry (%d entries)", c.CraftedLen())
 	}
@@ -293,13 +304,13 @@ func TestCraftedCacheInvalidatedByRetraining(t *testing.T) {
 	}
 	c := NewCache(CacheConfig{})
 	atk := attack.ByName("FGM-linf")
-	opts := Options{Samples: 30, Seed: 9, Cache: c}
-	RobustnessGrid(f.net, victims, f.test, atk, []float64{0.1}, opts)
+	opts := Options{Samples: 30, Seed: 9}
+	mustGrid(t, c, f.net, victims, f.test, atk, []float64{0.1}, opts)
 	filled := c.CraftedLen()
 	p := f.net.Params()[0]
 	orig := p.W[0]
 	p.W[0] += 0.25
-	RobustnessGrid(f.net, victims, f.test, atk, []float64{0.1}, opts)
+	mustGrid(t, c, f.net, victims, f.test, atk, []float64{0.1}, opts)
 	p.W[0] = orig
 	if c.CraftedLen() != filled+1 {
 		t.Fatalf("retrained network reused stale crafted batch (%d entries, want %d)", c.CraftedLen(), filled+1)
@@ -316,10 +327,10 @@ func TestCraftedCacheBudgetEviction(t *testing.T) {
 	// the cache instead of growing it. The bound lives in the cache
 	// instance, so no package state is mutated.
 	c := NewCache(CacheConfig{CraftBudget: int64(30 * f.test.X[0].Len())})
-	opts := Options{Samples: 20, Seed: 6, Cache: c}
+	opts := Options{Samples: 20, Seed: 6}
 	atk := attack.ByName("FGM-linf")
-	RobustnessGrid(f.net, victims, f.test, atk, []float64{0.1}, opts)
-	RobustnessGrid(f.net, victims, f.test, atk, []float64{0.2}, opts)
+	mustGrid(t, c, f.net, victims, f.test, atk, []float64{0.1}, opts)
+	mustGrid(t, c, f.net, victims, f.test, atk, []float64{0.2}, opts)
 	if n := c.CraftedLen(); n != 1 {
 		t.Fatalf("cache holds %d entries over budget, want 1 after epoch eviction", n)
 	}
@@ -352,7 +363,10 @@ func TestTransferProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Transfer(f.net, victims[0], f.test, attack.ByName("BIM-linf"), 0.1, Options{Samples: 60, Seed: 4})
+	res, err := NewCache(CacheConfig{}).Transfer(context.Background(), f.net, victims[0], f.test, attack.ByName("BIM-linf"), 0.1, Options{Samples: 60, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.CleanAcc < res.AdvAcc {
 		t.Fatalf("transfer attack increased accuracy: %v", res)
 	}
@@ -373,39 +387,17 @@ func TestCacheIsolation(t *testing.T) {
 	c1 := NewCache(CacheConfig{})
 	c2 := NewCache(CacheConfig{})
 	atk := attack.ByName("FGM-linf")
-	RobustnessGrid(f.net, victims, f.test, atk, []float64{0, 0.1}, Options{Samples: 30, Seed: 3, Cache: c1})
+	mustGrid(t, c1, f.net, victims, f.test, atk, []float64{0, 0.1}, Options{Samples: 30, Seed: 3})
 	if c1.CraftedLen() != 2 || c2.CraftedLen() != 0 {
 		t.Fatalf("cache leak: c1=%d c2=%d, want 2/0", c1.CraftedLen(), c2.CraftedLen())
 	}
-	RobustnessGrid(f.net, victims, f.test, atk, []float64{0, 0.1}, Options{Samples: 30, Seed: 3, Cache: c2})
+	mustGrid(t, c2, f.net, victims, f.test, atk, []float64{0, 0.1}, Options{Samples: 30, Seed: 3})
 	if c2.CraftedLen() != 2 {
 		t.Fatalf("second cache crafted %d batches, want its own 2", c2.CraftedLen())
 	}
 	c1.Clear()
 	if c1.CraftedLen() != 0 || c2.CraftedLen() != 2 {
 		t.Fatalf("Clear crossed caches: c1=%d c2=%d", c1.CraftedLen(), c2.CraftedLen())
-	}
-}
-
-func TestDefaultCacheCompat(t *testing.T) {
-	// Options without a Cache keep flowing through the shared default
-	// cache, and the package-level helpers keep operating on it.
-	f := getFixture(t)
-	victims, err := BuildAxVictims(f.net, f.test, []string{"mul8u_1JFF"}, axnn.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ClearCraftedCache()
-	RobustnessGrid(f.net, victims, f.test, attack.ByName("FGM-linf"), []float64{0.1}, Options{Samples: 20, Seed: 2})
-	if CraftedCacheLen() != 1 {
-		t.Fatalf("default cache holds %d batches, want 1", CraftedCacheLen())
-	}
-	if DefaultCache().CraftedLen() != 1 {
-		t.Fatal("DefaultCache must be the cache the nil-Cache options used")
-	}
-	ClearCraftedCache()
-	if CraftedCacheLen() != 0 {
-		t.Fatal("ClearCraftedCache left entries behind")
 	}
 }
 
@@ -418,7 +410,7 @@ func TestRobustnessGridCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := NewCache(CacheConfig{})
-	g, err := RobustnessGridCtx(ctx, f.net, victims, f.test, attack.ByName("PGD-linf"), []float64{0.1, 0.2}, Options{Samples: 40, Seed: 11, Cache: c})
+	g, err := c.RobustnessGrid(ctx, f.net, victims, f.test, attack.ByName("PGD-linf"), []float64{0.1, 0.2}, Options{Samples: 40, Seed: 11})
 	if g != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned (%v, %v), want (nil, context.Canceled)", g, err)
 	}
@@ -439,19 +431,19 @@ func TestSetAttackCraftedOnceAndCached(t *testing.T) {
 	atk := attack.NewUAP(attack.Linf)
 	atk.Iters = 3
 	c := NewCache(CacheConfig{})
-	opts := Options{Samples: 40, Seed: 19, Cache: c, Workers: 1}
-	a := RobustnessGrid(f.net, victims, f.test, atk, []float64{0, 0.1}, opts)
+	opts := Options{Samples: 40, Seed: 19, Workers: 1}
+	a := mustGrid(t, c, f.net, victims, f.test, atk, []float64{0, 0.1}, opts)
 	if n := c.CraftedLen(); n != 2 {
 		t.Fatalf("cache holds %d batches after a 2-eps UAP grid, want 2", n)
 	}
-	b := RobustnessGrid(f.net, victims, f.test, atk, []float64{0, 0.1}, opts)
+	b := mustGrid(t, c, f.net, victims, f.test, atk, []float64{0, 0.1}, opts)
 	if n := c.CraftedLen(); n != 2 {
 		t.Fatalf("identical UAP sweep re-crafted: %d batches", n)
 	}
 	// A fresh cache and a different worker count must reproduce the
 	// grid bit for bit: set crafting is one call, not chunked work.
-	opts2 := Options{Samples: 40, Seed: 19, Cache: NewCache(CacheConfig{}), Workers: 4}
-	d := RobustnessGrid(f.net, victims, f.test, atk, []float64{0, 0.1}, opts2)
+	opts2 := Options{Samples: 40, Seed: 19, Workers: 4}
+	d := mustGrid(t, NewCache(CacheConfig{}), f.net, victims, f.test, atk, []float64{0, 0.1}, opts2)
 	for ei := range a.Acc {
 		if a.Acc[ei][0] != b.Acc[ei][0] || a.Acc[ei][0] != d.Acc[ei][0] {
 			t.Fatalf("UAP grid not reproducible at row %d: %v %v %v", ei, a.Acc[ei][0], b.Acc[ei][0], d.Acc[ei][0])
@@ -463,7 +455,7 @@ func TestSetAttackCraftedOnceAndCached(t *testing.T) {
 	if err != nil || !hit {
 		t.Fatalf("expected a cache hit for the crafted UAP batch (err=%v hit=%v)", err, hit)
 	}
-	adv2, _, err := c.CraftedBatch(context.Background(), f.net, test, atk, 0.1, Options{Samples: 40, Seed: 20, Cache: c})
+	adv2, _, err := c.CraftedBatch(context.Background(), f.net, test, atk, 0.1, Options{Samples: 40, Seed: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,22 +480,22 @@ func TestCraftedCacheKeysNewAttackKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCache(CacheConfig{})
-	opts := Options{Samples: 30, Seed: 5, Cache: c}
+	opts := Options{Samples: 30, Seed: 5}
 	uapShort := attack.NewUAP(attack.Linf)
 	uapShort.Iters = 2
 	uapLong := attack.NewUAP(attack.Linf)
 	uapLong.Iters = 4
-	RobustnessGrid(f.net, victims, f.test, uapShort, []float64{0.1}, opts)
+	mustGrid(t, c, f.net, victims, f.test, uapShort, []float64{0.1}, opts)
 	filled := c.CraftedLen()
-	RobustnessGrid(f.net, victims, f.test, uapLong, []float64{0.1}, opts)
+	mustGrid(t, c, f.net, victims, f.test, uapLong, []float64{0.1}, opts)
 	if c.CraftedLen() != filled+1 {
 		t.Fatalf("differently-configured UAPs shared a cache entry (%d entries)", c.CraftedLen())
 	}
 	plain := attack.NewPGD(attack.Linf)
 	restarted := attack.NewRestart(attack.NewPGD(attack.Linf), 3)
-	RobustnessGrid(f.net, victims, f.test, plain, []float64{0.1}, opts)
+	mustGrid(t, c, f.net, victims, f.test, plain, []float64{0.1}, opts)
 	filled = c.CraftedLen()
-	RobustnessGrid(f.net, victims, f.test, restarted, []float64{0.1}, opts)
+	mustGrid(t, c, f.net, victims, f.test, restarted, []float64{0.1}, opts)
 	if c.CraftedLen() != filled+1 {
 		t.Fatalf("restarted PGD shared plain PGD's cache entry (%d entries)", c.CraftedLen())
 	}
@@ -517,7 +509,7 @@ func TestSetAttackObservesCancellation(t *testing.T) {
 	cancel()
 	c := NewCache(CacheConfig{})
 	atk := attack.NewUAP(attack.Linf)
-	adv, hit, err := c.CraftedBatch(ctx, f.net, f.test.Slice(20), atk, 0.1, Options{Samples: 20, Seed: 3, Cache: c})
+	adv, hit, err := c.CraftedBatch(ctx, f.net, f.test.Slice(20), atk, 0.1, Options{Samples: 20, Seed: 3})
 	if adv != nil || hit || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled set crafting returned (%v, %v, %v), want (nil, false, context.Canceled)", adv, hit, err)
 	}

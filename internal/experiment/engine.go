@@ -101,11 +101,12 @@ func (e *Engine) emit(ev Event) {
 // granularity; Run then returns ctx.Err() with no partial results
 // memoised and no goroutines leaked.
 //
-// The numbers are identical to running core.RobustnessGrid once per
-// attack with the same options: the plan/executor split only changes
-// who owns the cache and in what order cells run, never the protocol —
-// and the Report is assembled in plan order, so the bytes don't depend
-// on the executor either.
+// The numbers are identical to running Cache.RobustnessGrid once per
+// attack with the same options. The executor — serial or parallel
+// LocalExecutor, or a ShardExecutor farming grids out to peer nodes —
+// only changes where and in what order cells run, never the protocol;
+// every executor assembles the Report through the same plan-order
+// path, so the bytes don't depend on the executor either.
 func (e *Engine) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	_, sp := obs.Start(ctx, "plan")
 	plan, err := spec.Plan()
@@ -226,7 +227,6 @@ func (e *Engine) bind(ctx context.Context, plan *Plan) (*PlanRun, error) {
 			Seed:    spec.Seed,
 			Workers: spec.Workers,
 			Batch:   spec.Batch,
-			Cache:   e.cache,
 		},
 		cache: e.cache,
 		emit:  e.emit,

@@ -87,8 +87,8 @@ func tinySpec() *Spec {
 
 // TestEngineMatchesRobustnessGrid is the acceptance criterion: one
 // Run over a multi-attack spec produces grids identical — cell for
-// cell and in MaxAccuracyLoss — to the per-grid core.RobustnessGrid
-// path with the same options.
+// cell and in MaxAccuracyLoss — to the single-grid
+// core.Cache.RobustnessGrid sweep with the same options.
 func TestEngineMatchesRobustnessGrid(t *testing.T) {
 	src := fixtureSource(t)
 	eng := New(WithModelSource(src))
@@ -106,8 +106,11 @@ func TestEngineMatchesRobustnessGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, name := range spec.Attacks {
-		ref := core.RobustnessGrid(m.Net, victims, m.Test, attackByName(t, name), spec.Eps,
-			core.Options{Samples: spec.Samples, Seed: spec.Seed, Cache: core.NewCache(core.CacheConfig{})})
+		ref, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(context.Background(), m.Net, victims, m.Test,
+			attackByName(t, name), spec.Eps, core.Options{Samples: spec.Samples, Seed: spec.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(rep.Grids[i].Acc, ref.Acc) {
 			t.Fatalf("%s: engine grid diverged from RobustnessGrid:\nengine %v\nref    %v", name, rep.Grids[i].Acc, ref.Acc)
 		}
@@ -160,9 +163,8 @@ func TestEngineCleanRowSharedAcrossAttacks(t *testing.T) {
 }
 
 // TestEngineCacheIsolation: two engines never observe each other's
-// entries, and neither touches the shared default cache.
+// entries.
 func TestEngineCacheIsolation(t *testing.T) {
-	core.ClearCraftedCache()
 	src := fixtureSource(t)
 	e1 := New(WithModelSource(src))
 	if _, err := e1.Run(context.Background(), tinySpec()); err != nil {
@@ -186,9 +188,6 @@ func TestEngineCacheIsolation(t *testing.T) {
 	e2.Cache().Clear()
 	if e1.Cache().CraftedLen() != n1 {
 		t.Fatal("clearing one engine's cache drained the other's")
-	}
-	if core.CraftedCacheLen() != 0 {
-		t.Fatalf("engines leaked %d entries into the shared default cache", core.CraftedCacheLen())
 	}
 }
 
@@ -244,8 +243,11 @@ func TestEngineTransferSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := core.RobustnessGrid(a.Net, victims, b.Test, attackByName(t, "FGM-linf"), spec.Eps,
-		core.Options{Samples: spec.Samples, Seed: spec.Seed, Cache: core.NewCache(core.CacheConfig{})})
+	ref, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(context.Background(), a.Net, victims, b.Test,
+		attackByName(t, "FGM-linf"), spec.Eps, core.Options{Samples: spec.Samples, Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(rep.Grids[0].Acc, ref.Acc) {
 		t.Fatalf("transfer suite diverged from core path:\nengine %v\nref    %v", rep.Grids[0].Acc, ref.Acc)
 	}

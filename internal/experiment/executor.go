@@ -33,7 +33,8 @@ type Executor interface {
 // counts cells this process executed through its own executor,
 // Remote cells a peer executed for this node's sharded jobs, and
 // Fallback the subset of Local re-executed here after a peer shard
-// failed. Ready is a gauge of cell-graph nodes currently ready to run.
+// failed or sent a report that did not check out. Ready is a gauge of
+// cell-graph nodes currently ready to run.
 type SchedCounters struct {
 	Local    atomic.Int64
 	Remote   atomic.Int64
@@ -105,13 +106,26 @@ type LocalExecutor struct {
 	// parallelism is still governed by Spec.Workers.
 	Parallel int
 	// Counters, when non-nil, receives scheduler counts (Local,
-	// Ready); Remote/Fallback are the sharded scheduler's.
+	// Ready); a ShardExecutor wrapping this one adds Remote/Fallback.
 	Counters *SchedCounters
 }
 
 func (x *LocalExecutor) Execute(ctx context.Context, run *PlanRun) (*Report, error) {
+	states := make([]cellState, len(run.plan.Cells))
+	if err := x.run(ctx, run, run.plan.cellsOf(run.plan.Grids), states); err != nil {
+		return nil, err
+	}
+	return run.assemble(states), nil
+}
+
+// run schedules the given cells (indices into plan.Cells, in plan
+// order) and writes each one's results into states[cell]. Cells
+// outside the subset are left untouched, so concurrent runs over
+// disjoint subsets may share one states slice — the sharded
+// executor's local part and its peer fallbacks do.
+func (x *LocalExecutor) run(ctx context.Context, run *PlanRun, cells []int, states []cellState) error {
 	plan := run.plan
-	n := len(plan.Cells)
+	n := len(cells)
 	workers := x.Parallel
 	if workers < 1 {
 		workers = 1
@@ -123,23 +137,19 @@ func (x *LocalExecutor) Execute(ctx context.Context, run *PlanRun) (*Report, err
 	var (
 		mu         sync.Mutex
 		cond       = sync.NewCond(&mu)
-		craftReady = make([]int, 0, n) // cell indices, plan order
-		evalReady  []evalNode          // FIFO
-		states     = make([]cellState, n)
+		craftReady = append(make([]int, 0, n), cells...) // plan order
+		evalReady  []evalNode                            // FIFO
 		cellsDone  int
 		runErr     error
 	)
-	for i := range plan.Cells {
-		craftReady = append(craftReady, i)
-	}
 	// Per-grid spans open lazily at the grid's first craft and close
 	// when its last cell finishes, so the trace shows grid phases even
 	// though the scheduler interleaves grids freely.
 	gridCtx := make([]context.Context, len(plan.Grids))
 	gridSpan := make([]*obs.SpanHandle, len(plan.Grids))
 	gridLeft := make([]int, len(plan.Grids))
-	for _, c := range plan.Cells {
-		gridLeft[c.Grid]++
+	for _, ci := range cells {
+		gridLeft[plan.Cells[ci].Grid]++
 	}
 	gauge := func() {
 		if x.Counters != nil {
@@ -279,10 +289,7 @@ func (x *LocalExecutor) Execute(ctx context.Context, run *PlanRun) (*Report, err
 	if x.Counters != nil {
 		x.Counters.Ready.Store(0)
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return run.assemble(states), nil
+	return runErr
 }
 
 // assemble builds the Report in plan order from completed cell states.

@@ -142,8 +142,8 @@ func (p *Plan) Restrict(grids []string) (*Plan, error) {
 }
 
 // CellAt finds the plan cell for an (attack, eps) pair, matching eps
-// under the crafting cache's quantisation. The shard merger uses it to
-// map a peer's cell timings back onto plan positions.
+// under the crafting cache's quantisation. The sharding executor uses
+// it to map a peer's cell timings back onto plan positions.
 func (p *Plan) CellAt(attackName string, eps float64) (PlanCell, bool) {
 	q := core.EpsKey(eps)
 	for _, c := range p.Cells {

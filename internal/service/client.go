@@ -32,10 +32,6 @@ func NewClient(base string) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), hc: http.DefaultClient}
 }
 
-// Base returns the server base URL this client talks to — the node
-// label sharded traces stamp on spans imported from this peer.
-func (c *Client) Base() string { return c.base }
-
 // do issues one request and decodes error bodies into errors. When
 // ctx carries a trace context it is propagated as headers, so server
 // work can nest under the caller's span (the sharded-execution path).
@@ -142,8 +138,15 @@ func (c *Client) ReportRaw(ctx context.Context, id, format string) ([]byte, erro
 // ExecuteShard asks the peer to run the named grids of the spec on
 // its local executor, synchronously, returning the partial report.
 // This is the node-to-node path of sharded suite execution — not part
-// of the public suite API, and not a job on the peer.
+// of the public suite API, and not a job on the peer — and makes
+// Client an experiment.Peer. The call is one shard-rpc span, the local
+// parent every span the peer sends back nests under, timed into
+// ax_shard_rpc_duration_seconds.
 func (c *Client) ExecuteShard(ctx context.Context, spec *experiment.Spec, grids []string) (*experiment.Report, error) {
+	ctx, span := obs.Start(ctx, "shard-rpc",
+		obs.Attr{Key: "peer", Value: c.base},
+		obs.Attr{Key: "grids", Value: strings.Join(grids, ",")})
+	defer func() { shardHist.Observe(span.End()) }()
 	specJSON, err := spec.Encode()
 	if err != nil {
 		return nil, err
@@ -157,21 +160,21 @@ func (c *Client) ExecuteShard(ctx context.Context, spec *experiment.Spec, grids 
 		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	var env shardResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		return nil, fmt.Errorf("decoding shard reply: %w", err)
+	}
+	if len(env.Report) == 0 {
+		return nil, fmt.Errorf("shard reply from %s has no report", c.base)
+	}
+	rep, err := experiment.ReadReport(bytes.NewReader(env.Report))
 	if err != nil {
 		return nil, err
 	}
-	// Current peers reply with a {report, spans} envelope; a peer one
-	// deploy behind replies with the bare report JSON (which has no
-	// "report" key), so fall back to parsing the body directly.
-	var env shardResponse
-	if json.Unmarshal(raw, &env) == nil && len(env.Report) > 0 {
-		if rec, _ := obs.FromContext(ctx); rec != nil {
-			rec.Import(c.base, env.Spans)
-		}
-		return experiment.ReadReport(bytes.NewReader(env.Report))
+	if rec, _ := obs.FromContext(ctx); rec != nil {
+		rec.Import(c.base, env.Spans)
 	}
-	return experiment.ReadReport(bytes.NewReader(raw))
+	return rep, nil
 }
 
 // TraceRaw fetches a job's Chrome trace_event JSON verbatim — what

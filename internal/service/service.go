@@ -89,8 +89,8 @@ type Config struct {
 	Log *store.Store
 	// Peers are base URLs of other axserve nodes to shard multi-grid
 	// suites across (see shard.go). Empty (the default) runs every job
-	// locally. A peer that fails mid-shard degrades to local fallback,
-	// never to a failed job.
+	// locally. A peer that fails mid-shard, or sends a report that does
+	// not check out, degrades to local fallback, never to a failed job.
 	Peers []string
 	// CellParallel is the number of suite cells each job runs in
 	// flight through the local executor (0 or 1 = serial, the previous
@@ -242,7 +242,7 @@ type Manager struct {
 	modelSource func(context.Context, string) (*modelzoo.Model, error)
 	maxJobs     int
 	log         *store.Store // nil = memory-only
-	peers       []*Client
+	peers       []experiment.Peer
 	cellPar     int
 	sched       experiment.SchedCounters
 
@@ -356,13 +356,19 @@ func (m *Manager) Cache() *core.Cache { return m.cache }
 // zero.
 func (m *Manager) Sched() *experiment.SchedCounters { return &m.sched }
 
-// newEngine builds the per-job engine: shared cache, this manager's
-// local executor (cell parallelism + scheduler counters), optional
-// progress sink and model source.
-func (m *Manager) newEngine(progress func(experiment.Event)) *experiment.Engine {
+// newEngine builds an engine over the shared cache: this manager's
+// local executor (cell parallelism + scheduler counters) — wrapped in
+// a ShardExecutor over the peers when shard is set and peers exist —
+// plus the optional progress sink and model source.
+func (m *Manager) newEngine(progress func(experiment.Event), shard bool) *experiment.Engine {
+	local := experiment.LocalExecutor{Parallel: m.cellPar, Counters: &m.sched}
+	var x experiment.Executor = &local
+	if shard && len(m.peers) > 0 {
+		x = &experiment.ShardExecutor{Local: local, Peers: m.peers}
+	}
 	opts := []experiment.Option{
 		experiment.WithCache(m.cache),
-		experiment.WithExecutor(&experiment.LocalExecutor{Parallel: m.cellPar, Counters: &m.sched}),
+		experiment.WithExecutor(x),
 	}
 	if progress != nil {
 		opts = append(opts, experiment.WithProgress(progress))
@@ -666,10 +672,9 @@ func (m *Manager) worker() {
 }
 
 // runJob executes one job, bracketing the cell events with
-// SuiteStarted / SuiteFinished in the persisted log. The job's plan is
-// compiled once here: a multi-grid plan on a manager with peers runs
-// sharded (see shard.go), everything else on a fresh local engine
-// sharing the manager's cache.
+// SuiteStarted / SuiteFinished in the persisted log, on a fresh engine
+// sharing the manager's cache — sharded across the peers when the
+// manager has any (see shard.go).
 func (m *Manager) runJob(j *job) {
 	j.mu.Lock()
 	if j.state.Terminal() { // cancelled while queued
@@ -701,11 +706,7 @@ func (m *Manager) runJob(j *job) {
 	plan, err := j.spec.Plan()
 	planSpan.End()
 	if err == nil {
-		if len(m.peers) > 0 && len(plan.Grids) > 1 {
-			rep, err = m.runSharded(sctx, j, plan)
-		} else {
-			rep, err = m.newEngine(j.record).RunPlan(sctx, plan)
-		}
+		rep, err = m.newEngine(j.record, true).RunPlan(sctx, plan)
 	}
 
 	// End the root span before the terminal state publishes, so anyone

@@ -29,7 +29,7 @@ var (
 	fixtureMu sync.Mutex
 )
 
-func fixtureSource(t *testing.T) func(context.Context, string) (*modelzoo.Model, error) {
+func fixtureSource(t testing.TB) func(context.Context, string) (*modelzoo.Model, error) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		fixtureZoo = map[string]*modelzoo.Model{}
@@ -81,7 +81,7 @@ func tinySpec() *experiment.Spec {
 	}
 }
 
-func newTestManager(t *testing.T, cfg Config) *Manager {
+func newTestManager(t testing.TB, cfg Config) *Manager {
 	t.Helper()
 	if cfg.ModelSource == nil {
 		cfg.ModelSource = fixtureSource(t)

@@ -1,23 +1,14 @@
-// Sharded suite execution: a manager with peers partitions a job's
-// plan grid-wise across itself and the peer nodes, each part runs on
-// its node's local executor, and the partial reports merge back in
-// plan order — byte-identical to a single-node run, because every
-// executor assembles in plan order and model training is
-// deterministic. The shared disk store (same -data-dir on every node)
-// is the cross-shard cache fabric: a batch crafted on one shard is
-// replayed from disk everywhere else.
+// Sharded suite execution: a manager with peers runs multi-grid jobs
+// on an experiment.ShardExecutor whose peers are Clients of the other
+// nodes. Each peer serves its part through the internal shard
+// endpoint below, on a local-only engine, so a shard never re-shards.
 
 package service
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"strings"
-	"sync"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/obs"
 )
@@ -37,8 +28,7 @@ type shardRequest struct {
 // shardResponse is the internal shard endpoint's reply: the partial
 // report plus — when the caller propagated a trace context — the spans
 // the peer recorded while executing, so remote work nests under the
-// originating suite's trace. Older nodes replied with the bare report
-// JSON; the client accepts both (see Client.ExecuteShard).
+// originating suite's trace.
 type shardResponse struct {
 	Report json.RawMessage `json:"report"`
 	Spans  []obs.Span      `json:"spans,omitempty"`
@@ -48,8 +38,9 @@ type shardResponse struct {
 // local executor, synchronously, and returns the partial report. It
 // is the server side of the internal shard endpoint: no job is
 // created, no events are logged — the requesting node owns the job —
-// but executed cells do count into this node's scheduler counters and
-// land in its shared cache tiers.
+// and the grids never go on to this node's own peers; executed cells
+// do count into this node's scheduler counters and land in its shared
+// cache tiers.
 func (m *Manager) ExecuteShard(ctx context.Context, spec *experiment.Spec, grids []string) (*experiment.Report, error) {
 	m.mu.Lock()
 	closed := m.closed
@@ -65,156 +56,5 @@ func (m *Manager) ExecuteShard(ctx context.Context, spec *experiment.Spec, grids
 	if err != nil {
 		return nil, err
 	}
-	return m.newEngine(nil).RunPlan(ctx, sub)
-}
-
-// runSharded partitions the plan's grids round-robin over this node
-// and its peers, runs the remote parts concurrently with the local
-// one, and merges. Grid 0 always stays local, so the node doing the
-// merge always executed part of the suite itself.
-func (m *Manager) runSharded(ctx context.Context, j *job, plan *experiment.Plan) (*experiment.Report, error) {
-	nodes := len(m.peers) + 1
-	parts := make([][]string, nodes)
-	for gi, g := range plan.Grids {
-		parts[gi%nodes] = append(parts[gi%nodes], g)
-	}
-
-	reports := make([]*experiment.Report, nodes)
-	errs := make([]error, nodes)
-	var wg sync.WaitGroup
-	for ni := 1; ni < nodes; ni++ {
-		if len(parts[ni]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(ni int) {
-			defer wg.Done()
-			reports[ni], errs[ni] = m.runShardPart(ctx, j, plan, m.peers[ni-1], parts[ni])
-		}(ni)
-	}
-	if len(parts[0]) > 0 {
-		sub, err := plan.Restrict(parts[0])
-		if err == nil {
-			reports[0], err = m.newEngine(j.record).RunPlan(ctx, sub)
-		}
-		errs[0] = err
-	}
-	wg.Wait()
-	var merged []*experiment.Report
-	for ni, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		if reports[ni] != nil {
-			merged = append(merged, reports[ni])
-		}
-	}
-	_, span := obs.Start(ctx, "merge")
-	defer span.End()
-	return mergeShardReports(plan, merged)
-}
-
-// runShardPart executes one partition on a peer, falling back to
-// local execution when the peer fails — one dead node degrades
-// throughput, never the suite. Remote cells are replayed into the
-// job's event log (as CellFinished, with their plan positions) so
-// progress subscribers count them like local ones.
-func (m *Manager) runShardPart(ctx context.Context, j *job, plan *experiment.Plan, peer *Client, grids []string) (*experiment.Report, error) {
-	// The shard-rpc span is the local parent every remote span nests
-	// under: the client injects its ID as the peer's parent header.
-	rctx, span := obs.Start(ctx, "shard-rpc",
-		obs.Attr{Key: "peer", Value: peer.Base()},
-		obs.Attr{Key: "grids", Value: strings.Join(grids, ",")})
-	rep, err := peer.ExecuteShard(rctx, j.spec, grids)
-	shardHist.Observe(span.End())
-	if err == nil {
-		m.sched.Remote.Add(int64(len(rep.Cells)))
-		m.recordRemoteCells(j, plan, rep)
-		return rep, nil
-	}
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	sub, rerr := plan.Restrict(grids)
-	if rerr != nil {
-		return nil, rerr
-	}
-	rep, rerr = m.newEngine(j.record).RunPlan(ctx, sub)
-	if rerr == nil {
-		m.sched.Fallback.Add(int64(len(rep.Cells)))
-	}
-	return rep, rerr
-}
-
-// recordRemoteCells logs a peer's finished cells into the job's event
-// stream, mapped onto their stable plan positions.
-func (m *Manager) recordRemoteCells(j *job, plan *experiment.Plan, rep *experiment.Report) {
-	for _, ct := range rep.Cells {
-		cell, ok := plan.CellAt(ct.Attack, ct.Eps)
-		if !ok {
-			continue
-		}
-		j.record(experiment.Event{
-			Kind:     experiment.CellFinished,
-			Attack:   ct.Attack,
-			Eps:      ct.Eps,
-			Cell:     cell.Index,
-			Cells:    plan.Total,
-			CacheHit: ct.CacheHit,
-			Elapsed:  time.Duration(ct.ElapsedMS * float64(time.Millisecond)),
-		})
-	}
-}
-
-// mergeShardReports reassembles partial reports into the full suite
-// report, grids and cell timings in plan order — the same order every
-// executor emits, so the merged bytes match a single-node run's
-// (timing fields aside, which differ run to run even locally).
-func mergeShardReports(plan *experiment.Plan, parts []*experiment.Report) (*experiment.Report, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("service: merge: no shard reports")
-	}
-	grids := make(map[string]*core.Grid)
-	cells := make(map[int]experiment.CellTiming)
-	for _, part := range parts {
-		if part.CleanAcc != parts[0].CleanAcc {
-			// Deterministic training means every node resolves identical
-			// models; a mismatch is a deployment skew worth failing on.
-			return nil, fmt.Errorf("service: merge: clean accuracy mismatch across shards (%g vs %g)", part.CleanAcc, parts[0].CleanAcc)
-		}
-		for _, g := range part.Grids {
-			if _, dup := grids[g.Attack]; dup {
-				return nil, fmt.Errorf("service: merge: grid %q from two shards", g.Attack)
-			}
-			grids[g.Attack] = g
-		}
-		for _, ct := range part.Cells {
-			cell, ok := plan.CellAt(ct.Attack, ct.Eps)
-			if !ok {
-				return nil, fmt.Errorf("service: merge: cell %s eps=%g not in plan", ct.Attack, ct.Eps)
-			}
-			cells[cell.Index] = ct
-		}
-	}
-	rep := &experiment.Report{
-		Spec:     *plan.Spec(),
-		CleanAcc: parts[0].CleanAcc,
-		Grids:    make([]*core.Grid, 0, len(plan.Grids)),
-		Cells:    make([]experiment.CellTiming, 0, len(plan.Cells)),
-	}
-	for _, name := range plan.Grids {
-		g, ok := grids[name]
-		if !ok {
-			return nil, fmt.Errorf("service: merge: no shard covered grid %q", name)
-		}
-		rep.Grids = append(rep.Grids, g)
-	}
-	for _, cell := range plan.Cells {
-		ct, ok := cells[cell.Index]
-		if !ok {
-			return nil, fmt.Errorf("service: merge: no shard covered cell %d (%s eps=%g)", cell.Index, cell.Attack, cell.Eps)
-		}
-		rep.Cells = append(rep.Cells, ct)
-	}
-	return rep, nil
+	return m.newEngine(nil, false).RunPlan(ctx, sub)
 }

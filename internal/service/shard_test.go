@@ -194,53 +194,52 @@ func TestSingleGridSuiteNeverShards(t *testing.T) {
 	if m.Sched().Remote.Load() != 0 || m.Sched().Fallback.Load() != 0 {
 		t.Fatal("single-grid suite must not touch the sharded path")
 	}
+	// Nothing was sent out, so the trace is a local run's: no RPC, no merge.
+	spans, err := m.Trace(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range spans {
+		if sp.Name == "shard-rpc" || sp.Name == "merge" {
+			t.Fatalf("single-grid trace has a %s span", sp.Name)
+		}
+	}
 }
 
-// TestMergeShardReports covers the merger's integrity checks directly:
-// partial coverage, duplicated grids, and clean-accuracy skew must all
-// fail rather than assemble a report with holes.
-func TestMergeShardReports(t *testing.T) {
-	plan, err := tinySpec().Plan()
+// TestShardEndpointNeverReshards: the shard endpoint executes its
+// grids on a local-only engine even on a node that has peers of its
+// own, so a shard never fans out again (or falls back) — here the
+// node's one peer is unreachable, and both counters stay at zero.
+func TestShardEndpointNeverReshards(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1, Peers: []string{"http://127.0.0.1:1"}})
+	srv := httptest.NewServer(NewHandler(m))
+	t.Cleanup(srv.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	spec := tinySpec()
+	rep, err := NewClient(srv.URL).ExecuteShard(ctx, spec, spec.Attacks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := func(attack string, clean float64) *experiment.Report {
-		g := &core.Grid{
-			Attack:  attack,
-			Dataset: "synth-digits",
-			Eps:     []float64{0, 0.1},
-			Victims: []string{"mul8u_1JFF", "mul8u_JV3"},
-			Acc:     [][]float64{{90, 90}, {40, 40}},
-		}
-		return &experiment.Report{
-			Spec:     *plan.Spec(),
-			CleanAcc: clean,
-			Grids:    []*core.Grid{g},
-			Cells: []experiment.CellTiming{
-				{Attack: attack, Eps: 0},
-				{Attack: attack, Eps: 0.1},
-			},
-		}
-	}
-
-	full, err := mergeShardReports(plan, []*experiment.Report{part("FGM-linf", 95), part("PGD-linf", 95)})
+	local, err := experiment.New(experiment.WithModelSource(fixtureSource(t))).Run(ctx, tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.Grids) != 2 || full.Grids[0].Attack != "FGM-linf" || len(full.Cells) != plan.Total {
-		t.Fatalf("merged report malformed: %d grids, %d cells", len(full.Grids), len(full.Cells))
+	var repCSV, localCSV bytes.Buffer
+	if err := rep.WriteCSV(&repCSV); err != nil {
+		t.Fatal(err)
 	}
-
-	if _, err := mergeShardReports(plan, nil); err == nil {
-		t.Fatal("merging zero parts must fail")
+	if err := local.WriteCSV(&localCSV); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := mergeShardReports(plan, []*experiment.Report{part("FGM-linf", 95)}); err == nil {
-		t.Fatal("a merge that leaves a grid uncovered must fail")
+	if !bytes.Equal(repCSV.Bytes(), localCSV.Bytes()) {
+		t.Fatalf("shard endpoint's CSV diverged from a local run:\n--- shard ---\n%s--- local ---\n%s", repCSV.Bytes(), localCSV.Bytes())
 	}
-	if _, err := mergeShardReports(plan, []*experiment.Report{part("FGM-linf", 95), part("FGM-linf", 95)}); err == nil {
-		t.Fatal("the same grid from two shards must fail")
+	if got, want := m.Sched().Local.Load(), int64(len(rep.Cells)); got != want {
+		t.Fatalf("shard endpoint executed %d cells locally, want %d", got, want)
 	}
-	if _, err := mergeShardReports(plan, []*experiment.Report{part("FGM-linf", 95), part("PGD-linf", 90)}); err == nil {
-		t.Fatal("clean-accuracy skew across shards must fail")
+	if m.Sched().Remote.Load() != 0 || m.Sched().Fallback.Load() != 0 {
+		t.Fatalf("shard endpoint re-sharded: remote=%d fallback=%d", m.Sched().Remote.Load(), m.Sched().Fallback.Load())
 	}
 }

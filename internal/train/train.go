@@ -157,22 +157,7 @@ type Predictor interface {
 // predictor is fine.
 func Accuracy(pred Predictor, set *dataset.Set, limit int) float64 {
 	s := set.Slice(limit)
-	return accuracyParallel(func() Predictor { return pred }, s)
-}
-
-// AccuracyCloned is Accuracy for predictors whose Logits is not
-// concurrency-safe; factory must return a fresh predictor per worker.
-// The in-tree models no longer need it (stateless inference) — it
-// remains for external Predictor implementations with per-call state.
-func AccuracyCloned(factory func() Predictor, set *dataset.Set, limit int) float64 {
-	return accuracyParallel(factory, set.Slice(limit))
-}
-
-func accuracyParallel(factory func() Predictor, s *dataset.Set) float64 {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > s.Len() {
-		workers = s.Len()
-	}
+	workers := min(runtime.GOMAXPROCS(0), s.Len())
 	if workers == 0 {
 		return 0
 	}
@@ -182,9 +167,8 @@ func accuracyParallel(factory func() Predictor, s *dataset.Set) float64 {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p := factory()
 			for i := w; i < s.Len(); i += workers {
-				if tensor.ArgMax(p.Logits(s.X[i])) == s.Y[i] {
+				if tensor.ArgMax(pred.Logits(s.X[i])) == s.Y[i] {
 					correct[w]++
 				}
 			}

@@ -113,9 +113,7 @@ func TestConfigLRSentinel(t *testing.T) {
 func TestAccuracyBounds(t *testing.T) {
 	set := dataset.Digits(50, 23)
 	net := models.FFNN(28*28, 10, 9)
-	// AccuracyCloned remains for stateful external predictors; the
-	// shared stateless network exercises it fine.
-	acc := AccuracyCloned(func() Predictor { return net }, set, 0)
+	acc := Accuracy(net, set, 0)
 	if acc < 0 || acc > 1 {
 		t.Fatalf("accuracy %f outside [0,1]", acc)
 	}
