@@ -794,7 +794,7 @@ func BenchmarkWarmStoreCraft(b *testing.B) {
 	// Seed the store: the one crafting run a warm fleet amortises.
 	seeded := core.NewCache(core.CacheConfig{Disk: s})
 	for _, eps := range epsSweep {
-		if _, _, err := seeded.CraftedBatch(ctx, net, test, atk, eps, opts); err != nil {
+		if _, _, err := seeded.CraftedBatch(ctx, core.NewCraftTarget(net, test, atk), eps, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -804,7 +804,7 @@ func BenchmarkWarmStoreCraft(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cold := core.NewCache(core.CacheConfig{Disk: s})
 		for _, eps := range epsSweep {
-			if _, hit, err := cold.CraftedBatch(ctx, net, test, atk, eps, opts); err != nil || !hit {
+			if _, hit, err := cold.CraftedBatch(ctx, core.NewCraftTarget(net, test, atk), eps, opts); err != nil || !hit {
 				b.Fatalf("warm store did not serve eps=%g: hit=%v err=%v", eps, hit, err)
 			}
 		}

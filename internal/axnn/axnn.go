@@ -134,7 +134,7 @@ func Compile(n *nn.Network, calib []*tensor.T, opts Options) (*Network, error) {
 
 	q := &Network{
 		Name:        n.Name,
-		cfgKey:      configKey(n, calib, opts),
+		cfgKey:      ConfigKey(n, calib, opts),
 		inQP:        quant.Calibrate(inMin, inMax, bits),
 		approxDense: opts.ApproxDense,
 		noZP:        opts.NoZeroPointCorrection,
@@ -202,13 +202,13 @@ func Compile(n *nn.Network, calib []*tensor.T, opts Options) (*Network, error) {
 	return q, nil
 }
 
-// configKey captures everything that determines a compiled network's
+// ConfigKey captures everything that determines a compiled network's
 // behavior apart from the (swappable) multiplier: source weights,
 // calibration content, code width, and the dense/zero-point switches.
 // Two processes that Compile from the same inputs derive the same key,
 // which is what lets a persistent prediction cache outlive the process
-// (see ModelKey).
-func configKey(n *nn.Network, calib []*tensor.T, opts Options) string {
+// (see ModelKey), and what lets core memoise compiled networks.
+func ConfigKey(n *nn.Network, calib []*tensor.T, opts Options) string {
 	h := fnv.New64a()
 	var w [4]byte
 	for _, x := range calib {
@@ -230,7 +230,7 @@ func configKey(n *nn.Network, calib []*tensor.T, opts Options) string {
 }
 
 // ModelKey is the network's stable content identity: the compile-time
-// configKey plus the active multiplier. It satisfies core's ModelKeyer,
+// ConfigKey plus the active multiplier. It satisfies core's ModelKeyer,
 // so prediction memos key on configuration rather than pointer
 // identity — equal-config networks share entries in-process, and a
 // persistent cache tier can serve predictions across restarts.

@@ -9,18 +9,81 @@ import (
 	"repro/internal/axnn"
 	"repro/internal/dataset"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
+
+// calibSamples is how many leading calibration samples a victim
+// compile derives its activation ranges from.
+const calibSamples = 64
+
+// maxCompiled bounds the compiled-victim memo: a process that keeps
+// compiling new configurations (fresh hardened models, many quantization
+// widths) drops the whole memo and starts a new epoch, as PredMax does
+// for predictions.
+const maxCompiled = 16
 
 // BuildAxVictims compiles the trained float network once (with the
 // given calibration samples and quantization options) and returns one
 // victim per multiplier name — the paper's M1..Mn columns. The first
 // name is conventionally the accurate design (mul8u_1JFF), making that
-// column the quantized accurate DNN.
+// column the quantized accurate DNN. It is the uncached form of
+// Cache.AxVictims.
 func BuildAxVictims(src *nn.Network, calib *dataset.Set, mults []string, opts axnn.Options) ([]Victim, error) {
-	base, err := axnn.Compile(src, calib.Inputs(64), opts)
+	base, err := compileVictim(src, calib.Inputs(calibSamples), opts)
+	if err != nil {
+		return nil, err
+	}
+	return withMultipliers(base, mults)
+}
+
+// AxVictims is BuildAxVictims through the cache's compiled-victim memo:
+// the source is compiled once per distinct configuration
+// (axnn.ConfigKey: source weights, calibration samples, code width,
+// dense and zero-point switches) however many runs, multiplier subsets
+// and ensemble pools ask for it, concurrent callers included. Every
+// call returns its own WithMultiplier copies of the shared, immutable
+// compiled network.
+func (c *Cache) AxVictims(src *nn.Network, calib *dataset.Set, mults []string, opts axnn.Options) ([]Victim, error) {
+	samples := calib.Inputs(calibSamples)
+	key := axnn.ConfigKey(src, samples, opts)
+	if v, ok := c.nets.Load(key); ok {
+		c.compileHits.Add(1)
+		return withMultipliers(v.(*axnn.Network), mults)
+	}
+	// A compile is not cancellable, so its waiters need no ctx.
+	base, led, err := c.compileFlights.do(context.Background(), key, func() (*axnn.Network, error) {
+		if v, ok := c.nets.Load(key); ok {
+			c.compileHits.Add(1)
+			return v.(*axnn.Network), nil
+		}
+		base, err := compileVictim(src, samples, opts)
+		if err != nil {
+			return nil, err
+		}
+		c.compiles.Add(1)
+		c.storeNet(key, base)
+		return base, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !led {
+		c.compileHits.Add(1)
+	}
+	return withMultipliers(base, mults)
+}
+
+func compileVictim(src *nn.Network, samples []*tensor.T, opts axnn.Options) (*axnn.Network, error) {
+	base, err := axnn.Compile(src, samples, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling %s: %w", src.Name, err)
 	}
+	return base, nil
+}
+
+// withMultipliers is the one victim-building loop: a cheap
+// WithMultiplier copy of base per design.
+func withMultipliers(base *axnn.Network, mults []string) ([]Victim, error) {
 	victims := make([]Victim, 0, len(mults))
 	for _, name := range mults {
 		lut, err := axmult.Lookup(name)
@@ -32,10 +95,27 @@ func BuildAxVictims(src *nn.Network, calib *dataset.Set, mults []string, opts ax
 	return victims, nil
 }
 
+func (c *Cache) storeNet(key string, n *axnn.Network) {
+	if c.netCount.Load() >= maxCompiled {
+		c.clearNets()
+	}
+	if _, loaded := c.nets.LoadOrStore(key, n); !loaded {
+		c.netCount.Add(1)
+	}
+}
+
+func (c *Cache) clearNets() {
+	c.nets.Range(func(k, _ any) bool {
+		c.nets.Delete(k)
+		return true
+	})
+	c.netCount.Store(0)
+}
+
 // QuantPair returns the Fig. 8 victim pair: the non-quantized float
 // network and its 8-bit quantized (exact-multiplier) counterpart.
 func QuantPair(src *nn.Network, calib *dataset.Set, bits uint) ([]Victim, error) {
-	q, err := axnn.Compile(src, calib.Inputs(64), axnn.Options{Bits: bits})
+	q, err := axnn.Compile(src, calib.Inputs(calibSamples), axnn.Options{Bits: bits})
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/attack"
+	"repro/internal/axnn"
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -79,6 +80,17 @@ type Cache struct {
 	// degrade to recomputes, never to errors on the evaluation path.
 	disk *store.Store
 
+	// nets memoises compiled AxDNN bases by axnn.ConfigKey (see
+	// AxVictims), at most maxCompiled of them.
+	nets     sync.Map // string -> *axnn.Network
+	netCount atomic.Int64
+
+	// In-flight tables: every memory miss runs behind one, so
+	// concurrent misses on one key compute it once.
+	craftFlights   flights[craftKey, memoed[*tensor.T]]
+	predFlights    flights[predKey, memoed[[]int]]
+	compileFlights flights[string, *axnn.Network]
+
 	// Lifetime counters behind Stats. They are monotone: Clear and the
 	// budget evictions drop entries but never reset the counters, so
 	// long-lived services can export them as Prometheus-style counters.
@@ -88,6 +100,10 @@ type Cache struct {
 	predMisses     atomic.Int64
 	craftEvictions atomic.Int64
 	predEvictions  atomic.Int64
+	craftCoalesced atomic.Int64
+	predCoalesced  atomic.Int64
+	compiles       atomic.Int64
+	compileHits    atomic.Int64
 
 	// Disk-tier counters. diskCraft/diskPred hits and misses partition
 	// the memory misses that went on to probe the store; diskErrors
@@ -106,13 +122,24 @@ type Cache struct {
 // Hit/miss/eviction counters are lifetime-monotone; entry and byte
 // gauges reflect what is retained right now.
 type CacheStats struct {
-	// CraftHits / CraftMisses count CraftedBatch lookups, including the
-	// attack-independent eps=0 clean row.
+	// CraftHits / CraftMisses count CraftedBatch memory lookups,
+	// including the attack-independent eps=0 clean row.
 	CraftHits   int64
 	CraftMisses int64
-	// PredHits / PredMisses count Predictions lookups.
+	// PredHits / PredMisses count Predictions memory lookups.
 	PredHits   int64
 	PredMisses int64
+	// CraftCoalesced / PredCoalesced count the memory misses that
+	// computed nothing because a concurrent call for the same key was
+	// already computing it: they waited and shared its result. Each is
+	// a subset of the matching Misses counter.
+	CraftCoalesced int64
+	PredCoalesced  int64
+	// Compiles counts axnn.Compile runs behind AxVictims; CompileHits
+	// counts AxVictims calls served by an already compiled (or
+	// concurrently compiling) network.
+	Compiles    int64
+	CompileHits int64
 	// CraftEvictions / PredEvictions count automatic epoch resets
 	// (budget or entry-cap trips) — explicit Clear calls are not
 	// evictions. A craft-budget trip wipes the prediction memos too
@@ -158,6 +185,10 @@ func (c *Cache) Stats() CacheStats {
 		CraftMisses:     c.craftMisses.Load(),
 		PredHits:        c.predHits.Load(),
 		PredMisses:      c.predMisses.Load(),
+		CraftCoalesced:  c.craftCoalesced.Load(),
+		PredCoalesced:   c.predCoalesced.Load(),
+		Compiles:        c.compiles.Load(),
+		CompileHits:     c.compileHits.Load(),
 		CraftEvictions:  c.craftEvictions.Load(),
 		PredEvictions:   c.predEvictions.Load(),
 		CraftEntries:    int64(c.CraftedLen()),
@@ -192,11 +223,19 @@ func NewCache(cfg CacheConfig) *Cache {
 	return c
 }
 
-// Clear drops every memoised adversarial batch and victim prediction.
-// Weight changes invalidate entries automatically (the keys
-// fingerprint the network), so this exists to reclaim memory in
-// long-running sweeps ahead of the automatic budget eviction.
+// Clear drops every memoised adversarial batch, victim prediction and
+// compiled victim. Weight changes invalidate entries automatically
+// (the keys fingerprint the network), so this exists to reclaim memory
+// in long-running sweeps ahead of the automatic evictions.
 func (c *Cache) Clear() {
+	c.clearCrafted()
+	c.clearNets()
+}
+
+// clearCrafted drops the batches and, with them, the prediction memos
+// keyed by them: the craft budget's epoch reset. Compiled victims stay;
+// they do not grow with the batches and cost a compile to rebuild.
+func (c *Cache) clearCrafted() {
 	c.craft.Range(func(k, _ any) bool {
 		c.craft.Delete(k)
 		return true
@@ -224,19 +263,19 @@ func (c *Cache) CraftedLen() int {
 	return n
 }
 
-// storeCrafted memoises one batch, resetting the cache first when the
+// storeCrafted memoises one batch, resetting the batches first when the
 // retention budget would be exhausted. It returns the retained tensor:
-// when two goroutines race on the same cell, both callers converge on
-// the single stored batch and the size accounting counts it once.
+// should two calls ever store the same cell, both converge on the
+// single stored batch and the size accounting counts it once.
 func (c *Cache) storeCrafted(key craftKey, b *tensor.T) *tensor.T {
 	if c.craftSize.Load()+int64(b.Len()) > c.craftBudget {
 		c.craftEvictions.Add(1)
-		// Clear wipes the prediction memos alongside the batches;
-		// account for that reset so scrapers can attribute the drop.
+		// The reset wipes the prediction memos alongside the batches;
+		// account for that so scrapers can attribute the drop.
 		if c.predCount.Load() > 0 {
 			c.predEvictions.Add(1)
 		}
-		c.Clear()
+		c.clearCrafted()
 	}
 	if prev, loaded := c.craft.LoadOrStore(key, b); loaded {
 		return prev.(*tensor.T)
@@ -305,36 +344,109 @@ func shapeEq(a, b []int) bool {
 	return true
 }
 
-// CraftedBatch returns the [N, sampleShape...] adversarial batch for
-// one (attack, eps) cell, crafting it in parallel batches on first
-// use and serving the memo afterwards. hit reports whether the batch
-// came from the cache. Crafting observes ctx: on cancellation the
-// workers stop at the next chunk boundary, nothing is memoised, and
-// ctx.Err() is returned.
-func (c *Cache) CraftedBatch(ctx context.Context, src *nn.Network, test *dataset.Set, atk attack.Attack, eps float64, opts Options) (adv *tensor.T, hit bool, err error) {
-	if test.Len() == 0 {
-		return nil, false, errors.New("core: cannot craft over an empty test set")
-	}
-	epsQ := EpsKey(eps)
-	if epsQ == 0 {
-		return c.cleanBatch(test)
-	}
-	key := craftKey{
-		src: src, srcFP: src.WeightsFingerprint(),
-		first: test.X[0], n: test.Len(),
+// CraftTarget is one crafting target — a source network, a test set
+// and an attack — with its cache identity computed once: the source
+// weights fingerprint, the attack's ConfigKey and, on first use by the
+// disk tier, the test-set fingerprint. A scheduler that asks
+// CraftedCached about every ready cell of a grid, then crafts each,
+// hashes the source once per binding instead of once per call. The
+// identity is a snapshot: a source retrained in place needs a fresh
+// target.
+type CraftTarget struct {
+	src    *nn.Network
+	test   *dataset.Set
+	atk    attack.Attack
+	srcFP  uint64
+	atkKey string
+	setFP  func() uint64
+}
+
+// NewCraftTarget computes the identity of crafting atk on src over
+// test.
+func NewCraftTarget(src *nn.Network, test *dataset.Set, atk attack.Attack) *CraftTarget {
+	return &CraftTarget{
+		src: src, test: test, atk: atk,
+		srcFP: src.WeightsFingerprint(),
 		// ConfigKey, not Name: tunable attack parameters (BIM/PGD
 		// steps, MI-FGSM momentum, UAP iterations, restart counts)
 		// must never share cache entries.
-		attack: attack.ConfigKey(atk), epsQ: epsQ, seed: opts.Seed,
+		atkKey: attack.ConfigKey(atk),
+		setFP:  sync.OnceValue(func() uint64 { return setFingerprint(test) }),
 	}
+}
+
+// key is the memory-tier identity of the target's batch at one
+// quantised budget and seed; eps=0 is the attack-independent clean
+// batch.
+func (t *CraftTarget) key(epsQ, seed int64) craftKey {
+	if epsQ == 0 {
+		return craftKey{first: t.test.X[0], n: t.test.Len()}
+	}
+	return craftKey{
+		src: t.src, srcFP: t.srcFP,
+		first: t.test.X[0], n: t.test.Len(),
+		attack: t.atkKey, epsQ: epsQ, seed: seed,
+	}
+}
+
+// memoed is a memo miss's outcome as its leader computed it; hit
+// reports an artifact served without compute (from the disk tier, or
+// memoised by a leader that finished just before this one started).
+type memoed[V any] struct {
+	val V
+	hit bool
+}
+
+// CraftedBatch returns the [N, sampleShape...] adversarial batch for
+// one (attack, eps) cell, crafting it in parallel batches on first
+// use and serving the memo afterwards. hit reports whether the batch
+// came without crafting by this call: from memory, from the disk tier,
+// or from a concurrent call for the same batch that crafted it
+// (coalesced, counted in CacheStats.CraftCoalesced). Crafting observes
+// ctx: on cancellation the workers stop at the next chunk boundary,
+// nothing is memoised, and ctx.Err() is returned; callers waiting on
+// the cancelled call do not fail with it, one of them crafts instead.
+func (c *Cache) CraftedBatch(ctx context.Context, t *CraftTarget, eps float64, opts Options) (adv *tensor.T, hit bool, err error) {
+	if t.test.Len() == 0 {
+		return nil, false, errors.New("core: cannot craft over an empty test set")
+	}
+	epsQ := EpsKey(eps)
+	key := t.key(epsQ, opts.Seed)
 	if v, ok := c.craft.Load(key); ok {
 		c.craftHits.Add(1)
 		return v.(*tensor.T), true, nil
 	}
 	c.craftMisses.Add(1)
+	if epsQ == 0 {
+		// The eps=0 cell of every attack's sweep is the stacked clean
+		// inputs — attack- and seed-independent (all attacks are the
+		// identity at zero budget, pinned by the attack tests) and too
+		// cheap to coalesce.
+		return c.storeCrafted(key, tensor.Stack(t.test.X)), false, nil
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
+	r, led, err := c.craftFlights.do(ctx, key, func() (memoed[*tensor.T], error) {
+		if v, ok := c.craft.Load(key); ok {
+			return memoed[*tensor.T]{v.(*tensor.T), true}, nil
+		}
+		adv, hit, err := c.craftMiss(ctx, t, key, eps, opts)
+		return memoed[*tensor.T]{adv, hit}, err
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	if !led {
+		c.craftCoalesced.Add(1)
+		return r.val, true, nil
+	}
+	return r.val, r.hit, nil
+}
+
+// craftMiss is the leader's side of a crafted-batch miss: the disk
+// probe, then the compute, memoised and written through.
+func (c *Cache) craftMiss(ctx context.Context, t *CraftTarget, key craftKey, eps float64, opts Options) (*tensor.T, bool, error) {
 	// A memory miss is the start of the craft stage: the span (and the
 	// craft histogram) covers the disk probe plus any recompute, and
 	// every disk touch below nests under it.
@@ -342,18 +454,20 @@ func (c *Cache) CraftedBatch(ctx context.Context, src *nn.Network, test *dataset
 		obs.Attr{Key: "attack", Value: key.attack},
 		obs.Attr{Key: "eps", Value: strconv.FormatFloat(eps, 'g', -1, 64)})
 	defer func() { craftHist.Observe(span.End()) }()
+	test := t.test
 	var dkey string
 	if c.disk != nil {
-		dkey = craftDiskKey(src, test, key.attack, epsQ, opts.Seed)
+		dkey = craftDiskKey(t, key.epsQ, key.seed)
 		want := append([]int{test.Len()}, test.X[0].Shape...)
-		if t, ok := c.diskCraftProbe(ctx, dkey, want); ok {
+		if b, ok := c.diskCraftProbe(ctx, dkey, want); ok {
 			// A disk hit is an artifact served with zero recompute, which
 			// is what hit means to callers (CellTiming.CacheHit, events).
-			return c.storeCrafted(key, t), true, nil
+			return c.storeCrafted(key, b), true, nil
 		}
 	}
 
-	if sa, ok := atk.(attack.SetAttack); ok {
+	var out *tensor.T
+	if sa, ok := t.atk.(attack.SetAttack); ok {
 		// Set-level attacks (UAP) craft one image-agnostic perturbation
 		// over the whole set, so there is nothing to chunk across
 		// workers: one PerturbSet call, one rng stream per (eps, seed) —
@@ -361,33 +475,25 @@ func (c *Cache) CraftedBatch(ctx context.Context, src *nn.Network, test *dataset
 		// the same seed memoise bit-identical batches. Cancellation is
 		// observed inside PerturbSet at chunk granularity; the partial
 		// result is discarded below, never memoised.
-		rng := rand.New(rand.NewSource(opts.Seed*1_000_003 + epsQ*7_919))
-		out := sa.PerturbSet(ctx, src, tensor.Stack(test.X), test.Y, eps, rng)
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		kept := c.storeCrafted(key, out)
-		if dkey != "" {
-			c.diskPut(ctx, dkey, encodeTensor(kept))
-		}
-		return kept, false, nil
+		rng := rand.New(rand.NewSource(key.seed*1_000_003 + key.epsQ*7_919))
+		out = sa.PerturbSet(ctx, t.src, tensor.Stack(test.X), test.Y, eps, rng)
+	} else {
+		n := test.Len()
+		batk := attack.AsBatch(t.atk)
+		out = tensor.New(append([]int{n}, test.X[0].Shape...)...)
+		runChunked(ctx, n, opts, func(lo, hi int) {
+			xs := tensor.Stack(test.X[lo:hi])
+			rngs := make([]*rand.Rand, hi-lo)
+			for i := range rngs {
+				// Per-sample stream keyed by (seed, sample, eps):
+				// independent of batch chunking and sweep shape, so cached
+				// and freshly crafted batches agree bit for bit.
+				rngs[i] = rand.New(rand.NewSource(key.seed + int64(lo+i)*1_000_003 + key.epsQ*7_919))
+			}
+			crafted := batk.PerturbBatch(t.src, xs, test.Y[lo:hi], eps, rngs)
+			copy(out.RowView(lo, hi).Data, crafted.Data)
+		})
 	}
-
-	n := test.Len()
-	batk := attack.AsBatch(atk)
-	out := tensor.New(append([]int{n}, test.X[0].Shape...)...)
-	runChunked(ctx, n, opts, func(lo, hi int) {
-		xs := tensor.Stack(test.X[lo:hi])
-		rngs := make([]*rand.Rand, hi-lo)
-		for i := range rngs {
-			// Per-sample stream keyed by (seed, sample, eps):
-			// independent of batch chunking and sweep shape, so cached
-			// and freshly crafted batches agree bit for bit.
-			rngs[i] = rand.New(rand.NewSource(opts.Seed + int64(lo+i)*1_000_003 + epsQ*7_919))
-		}
-		crafted := batk.PerturbBatch(src, xs, test.Y[lo:hi], eps, rngs)
-		copy(out.RowView(lo, hi).Data, crafted.Data)
-	})
 	if err := ctx.Err(); err != nil {
 		// Partial batches must never be memoised.
 		return nil, false, err
@@ -399,50 +505,27 @@ func (c *Cache) CraftedBatch(ctx context.Context, src *nn.Network, test *dataset
 	return kept, false, nil
 }
 
-// cleanBatch returns the memoised stacked clean inputs — the eps=0
-// cell of every attack's sweep, which is attack- and seed-independent
-// (all attacks are the identity at zero budget, pinned by the attack
-// tests).
-func (c *Cache) cleanBatch(test *dataset.Set) (*tensor.T, bool, error) {
-	key := craftKey{first: test.X[0], n: test.Len()}
-	if v, ok := c.craft.Load(key); ok {
-		c.craftHits.Add(1)
-		return v.(*tensor.T), true, nil
-	}
-	c.craftMisses.Add(1)
-	return c.storeCrafted(key, tensor.Stack(test.X)), false, nil
-}
-
 // CraftedCached reports whether CraftedBatch would return the cell's
 // batch without crafting — the memory memo already holds it, or the
 // persistent tier's index knows the key. Cell schedulers use it to
 // prioritise hit cells over cold ones; a wrong answer only reorders
 // work, so the disk probe is index-only (no read, no decode, no
 // shape check).
-func (c *Cache) CraftedCached(src *nn.Network, test *dataset.Set, atk attack.Attack, eps float64, opts Options) bool {
-	if test.Len() == 0 {
+func (c *Cache) CraftedCached(t *CraftTarget, eps float64, opts Options) bool {
+	if t.test.Len() == 0 {
 		return false
 	}
 	epsQ := EpsKey(eps)
-	if epsQ == 0 {
-		_, ok := c.craft.Load(craftKey{first: test.X[0], n: test.Len()})
-		return ok
-	}
-	key := craftKey{
-		src: src, srcFP: src.WeightsFingerprint(),
-		first: test.X[0], n: test.Len(),
-		attack: attack.ConfigKey(atk), epsQ: epsQ, seed: opts.Seed,
-	}
-	if _, ok := c.craft.Load(key); ok {
+	if _, ok := c.craft.Load(t.key(epsQ, opts.Seed)); ok {
 		return true
 	}
-	return c.disk != nil && c.disk.Has(craftDiskKey(src, test, key.attack, epsQ, opts.Seed))
+	return epsQ != 0 && c.disk != nil && c.disk.Has(craftDiskKey(t, epsQ, opts.Seed))
 }
 
 // Predictions scores one victim over the crafted batch, using the
 // batched path when the model supports it and memoising per (victim,
-// batch). hit reports whether the predictions came from the cache;
-// cancellation behaves as in CraftedBatch.
+// batch). hit, coalescing and cancellation behave as in CraftedBatch
+// (coalesced calls count in CacheStats.PredCoalesced).
 func (c *Cache) Predictions(ctx context.Context, m attack.Model, adv *tensor.T, opts Options) (preds []int, hit bool, err error) {
 	key := predKey{batch: adv}
 	if mk, ok := m.(ModelKeyer); ok {
@@ -461,6 +544,26 @@ func (c *Cache) Predictions(ctx context.Context, m attack.Model, adv *tensor.T, 
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
+	r, led, err := c.predFlights.do(ctx, key, func() (memoed[[]int], error) {
+		if v, ok := c.pred.Load(key); ok {
+			return memoed[[]int]{v.([]int), true}, nil
+		}
+		preds, hit, err := c.predictMiss(ctx, m, key, adv, opts)
+		return memoed[[]int]{preds, hit}, err
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	if !led {
+		c.predCoalesced.Add(1)
+		return r.val, true, nil
+	}
+	return r.val, r.hit, nil
+}
+
+// predictMiss is the leader's side of a prediction miss: the disk
+// probe, then victim scoring, memoised and written through.
+func (c *Cache) predictMiss(ctx context.Context, m attack.Model, key predKey, adv *tensor.T, opts Options) ([]int, bool, error) {
 	ctx, span := obs.Start(ctx, "predict")
 	defer func() { predictHist.Observe(span.End()) }()
 	var dkey string
@@ -487,7 +590,7 @@ func (c *Cache) Predictions(ctx context.Context, m attack.Model, adv *tensor.T, 
 		}
 	}
 	n := adv.Rows()
-	preds = make([]int, n)
+	preds := make([]int, n)
 	bm, batched := m.(attack.BatchModel)
 	runChunked(ctx, n, opts, func(lo, hi int) {
 		if batched {

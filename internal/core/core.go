@@ -151,8 +151,9 @@ func (c *Cache) RobustnessGrid(ctx context.Context, src *nn.Network, victims []V
 		}
 		return g, nil
 	}
+	target := NewCraftTarget(src, test, atk)
 	for ei, e := range eps {
-		adv, _, err := c.CraftedBatch(ctx, src, test, atk, e, opts)
+		adv, _, err := c.CraftedBatch(ctx, target, e, opts)
 		if err != nil {
 			return nil, err
 		}

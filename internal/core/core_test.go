@@ -451,11 +451,11 @@ func TestSetAttackCraftedOnceAndCached(t *testing.T) {
 	}
 	// A different seed crafts a different universal perturbation.
 	test := f.test.Slice(40)
-	adv1, hit, err := c.CraftedBatch(context.Background(), f.net, test, atk, 0.1, opts)
+	adv1, hit, err := c.CraftedBatch(context.Background(), NewCraftTarget(f.net, test, atk), 0.1, opts)
 	if err != nil || !hit {
 		t.Fatalf("expected a cache hit for the crafted UAP batch (err=%v hit=%v)", err, hit)
 	}
-	adv2, _, err := c.CraftedBatch(context.Background(), f.net, test, atk, 0.1, Options{Samples: 40, Seed: 20})
+	adv2, _, err := c.CraftedBatch(context.Background(), NewCraftTarget(f.net, test, atk), 0.1, Options{Samples: 40, Seed: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestSetAttackObservesCancellation(t *testing.T) {
 	cancel()
 	c := NewCache(CacheConfig{})
 	atk := attack.NewUAP(attack.Linf)
-	adv, hit, err := c.CraftedBatch(ctx, f.net, f.test.Slice(20), atk, 0.1, Options{Samples: 20, Seed: 3})
+	adv, hit, err := c.CraftedBatch(ctx, NewCraftTarget(f.net, f.test.Slice(20), atk), 0.1, Options{Samples: 20, Seed: 3})
 	if adv != nil || hit || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled set crafting returned (%v, %v, %v), want (nil, false, context.Canceled)", adv, hit, err)
 	}

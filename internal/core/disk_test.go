@@ -35,7 +35,7 @@ func TestDiskTierColdProcessZeroRecraft(t *testing.T) {
 	warm := NewCache(CacheConfig{Disk: s1})
 	ctx := context.Background()
 	opts := Options{Seed: 9}
-	b1, hit, err := warm.CraftedBatch(ctx, f.net, test, atk, 0.1, opts)
+	b1, hit, err := warm.CraftedBatch(ctx, NewCraftTarget(f.net, test, atk), 0.1, opts)
 	if err != nil || hit {
 		t.Fatalf("first craft: hit=%v err=%v", hit, err)
 	}
@@ -54,7 +54,7 @@ func TestDiskTierColdProcessZeroRecraft(t *testing.T) {
 	s2 := openTestStore(t, dir)
 	defer s2.Close()
 	cold := NewCache(CacheConfig{Disk: s2})
-	b2, hit, err := cold.CraftedBatch(ctx, f.net, test, atk, 0.1, opts)
+	b2, hit, err := cold.CraftedBatch(ctx, NewCraftTarget(f.net, test, atk), 0.1, opts)
 	if err != nil || !hit {
 		t.Fatalf("cold craft: hit=%v err=%v", hit, err)
 	}
@@ -72,7 +72,7 @@ func TestDiskTierColdProcessZeroRecraft(t *testing.T) {
 	}
 	// Second lookup on the cold cache is now a memory hit: the disk
 	// tier installs into the hot tier rather than re-probing.
-	if _, hit, _ = cold.CraftedBatch(ctx, f.net, test, atk, 0.1, opts); !hit {
+	if _, hit, _ = cold.CraftedBatch(ctx, NewCraftTarget(f.net, test, atk), 0.1, opts); !hit {
 		t.Fatal("disk hit did not install into the memory tier")
 	}
 	if st := cold.Stats(); st.DiskCraftHits != 1 {
@@ -80,7 +80,7 @@ func TestDiskTierColdProcessZeroRecraft(t *testing.T) {
 	}
 
 	// Different seed is a different artifact: disk miss, recompute.
-	if _, hit, _ = cold.CraftedBatch(ctx, f.net, test, atk, 0.1, Options{Seed: 10}); hit {
+	if _, hit, _ = cold.CraftedBatch(ctx, NewCraftTarget(f.net, test, atk), 0.1, Options{Seed: 10}); hit {
 		t.Fatal("seed change served a stale artifact")
 	}
 	if st := cold.Stats(); st.DiskCraftMisses != 1 {
@@ -117,7 +117,7 @@ func TestDiskTierPredictions(t *testing.T) {
 	opts := Options{Seed: 4}
 	s1 := openTestStore(t, dir)
 	warm := NewCache(CacheConfig{Disk: s1})
-	adv, _, err := warm.CraftedBatch(ctx, f.net, test, attack.ByName("FGM-linf"), 0.05, opts)
+	adv, _, err := warm.CraftedBatch(ctx, NewCraftTarget(f.net, test, attack.ByName("FGM-linf")), 0.05, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestDiskTierPredictions(t *testing.T) {
 	cold := NewCache(CacheConfig{Disk: s2})
 	// The crafted batch itself comes off disk; the prediction key hangs
 	// off its content, so this works end to end from a cold start.
-	adv2, hit, err := cold.CraftedBatch(ctx, f.net, test, attack.ByName("FGM-linf"), 0.05, opts)
+	adv2, hit, err := cold.CraftedBatch(ctx, NewCraftTarget(f.net, test, attack.ByName("FGM-linf")), 0.05, opts)
 	if err != nil || !hit {
 		t.Fatalf("cold craft: hit=%v err=%v", hit, err)
 	}
@@ -171,7 +171,7 @@ func TestDiskTierCorruptValueRecomputes(t *testing.T) {
 
 	s1 := openTestStore(t, dir)
 	warm := NewCache(CacheConfig{Disk: s1})
-	b1, _, err := warm.CraftedBatch(ctx, f.net, test, atk, 0.1, opts)
+	b1, _, err := warm.CraftedBatch(ctx, NewCraftTarget(f.net, test, atk), 0.1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDiskTierCorruptValueRecomputes(t *testing.T) {
 	s2 := openTestStore(t, dir)
 	defer s2.Close()
 	cold := NewCache(CacheConfig{Disk: s2})
-	b2, hit, err := cold.CraftedBatch(ctx, f.net, test, atk, 0.1, opts)
+	b2, hit, err := cold.CraftedBatch(ctx, NewCraftTarget(f.net, test, atk), 0.1, opts)
 	if err != nil || hit {
 		t.Fatalf("corrupt value should recompute: hit=%v err=%v", hit, err)
 	}

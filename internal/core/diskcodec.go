@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/dataset"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -144,9 +143,9 @@ func batchFingerprint(b *tensor.T) uint64 {
 // weights, sample content, canonical attack configuration, quantised
 // budget, seed. Everything the crafting rng streams and gradient
 // ascent observe — and nothing process-local.
-func craftDiskKey(src *nn.Network, test *dataset.Set, atkKey string, epsQ, seed int64) string {
+func craftDiskKey(t *CraftTarget, epsQ, seed int64) string {
 	return fmt.Sprintf("craft/v1|src=%s:%016x|set=%s:%d:%016x|atk=%s|eps=%d|seed=%d",
-		src.Name, src.WeightsFingerprint(), test.Name, test.Len(), setFingerprint(test), atkKey, epsQ, seed)
+		t.src.Name, t.srcFP, t.test.Name, t.test.Len(), t.setFP(), t.atkKey, epsQ, seed)
 }
 
 // predDiskKey is the stable identity of one victim's predictions over

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/axnn"
+	"repro/internal/core"
 	"repro/internal/tensor"
 )
 
@@ -29,7 +30,7 @@ func BenchmarkAdvTrainEpoch(b *testing.B) {
 
 func BenchmarkEnsembleLogitsBatch(b *testing.B) {
 	base := fixture(b)
-	e, err := BuildEnsemble(base.Net, base.Test, testPool, axnn.Options{ApproxDense: true}, 7)
+	e, err := BuildEnsemble(core.NewCache(core.CacheConfig{}), base.Net, base.Test, testPool, axnn.Options{ApproxDense: true}, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func BenchmarkEnsembleLogitsBatch(b *testing.B) {
 
 func BenchmarkEOTCraftBatch(b *testing.B) {
 	base := fixture(b)
-	e, err := BuildEnsemble(base.Net, base.Test, testPool, axnn.Options{ApproxDense: true}, 7)
+	e, err := BuildEnsemble(core.NewCache(core.CacheConfig{}), base.Net, base.Test, testPool, axnn.Options{ApproxDense: true}, 7)
 	if err != nil {
 		b.Fatal(err)
 	}

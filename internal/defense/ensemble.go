@@ -36,14 +36,15 @@ type Ensemble struct {
 	seed int64
 }
 
-// BuildEnsemble compiles one AxDNN per multiplier in pool (same
-// compilation path as the grid victims) and returns the randomized
-// ensemble victim over them.
-func BuildEnsemble(src *nn.Network, calib *dataset.Set, pool []string, opts axnn.Options, seed int64) (*Ensemble, error) {
+// BuildEnsemble returns the randomized ensemble victim over one AxDNN
+// per multiplier in pool. The members come from c's compiled-victim
+// memo (core.Cache.AxVictims), the grid victims' path, so a suite whose
+// grid victims share the pool's quantization compiles once.
+func BuildEnsemble(c *core.Cache, src *nn.Network, calib *dataset.Set, pool []string, opts axnn.Options, seed int64) (*Ensemble, error) {
 	if len(pool) == 0 {
 		return nil, errors.New("defense: ensemble needs a non-empty multiplier pool")
 	}
-	victims, err := core.BuildAxVictims(src, calib, pool, opts)
+	victims, err := c.AxVictims(src, calib, pool, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/axnn"
+	"repro/internal/core"
 	"repro/internal/tensor"
 )
 
@@ -14,7 +15,7 @@ var testPool = []string{"mul8u_1JFF", "mul8u_JV3", "mul8u_L40"}
 func testEnsemble(t *testing.T, seed int64) *Ensemble {
 	t.Helper()
 	m := fixture(t)
-	e, err := BuildEnsemble(m.Net, m.Test, testPool, axnn.Options{ApproxDense: true}, seed)
+	e, err := BuildEnsemble(core.NewCache(core.CacheConfig{}), m.Net, m.Test, testPool, axnn.Options{ApproxDense: true}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestEnsembleSampleModelCoversPool(t *testing.T) {
 func TestEnsembleSamplerKeyIsolation(t *testing.T) {
 	m := fixture(t)
 	build := func(pool []string, opts axnn.Options, seed int64) string {
-		e, err := BuildEnsemble(m.Net, m.Test, pool, opts, seed)
+		e, err := BuildEnsemble(core.NewCache(core.CacheConfig{}), m.Net, m.Test, pool, opts, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,17 +110,17 @@ func TestEnsembleSamplerKeyIsolation(t *testing.T) {
 	if build(testPool, axnn.Options{Bits: 6, ApproxDense: true}, 7) == base {
 		t.Fatal("different quantization shares a sampler key")
 	}
-	if e, _ := BuildEnsemble(m.Net, m.Test, testPool, axnn.Options{ApproxDense: true}, 7); e.SamplerKey() != base {
+	if e, _ := BuildEnsemble(core.NewCache(core.CacheConfig{}), m.Net, m.Test, testPool, axnn.Options{ApproxDense: true}, 7); e.SamplerKey() != base {
 		t.Fatal("identical configuration must reproduce the sampler key")
 	}
 }
 
 func TestBuildEnsembleRejectsEmptyAndUnknown(t *testing.T) {
 	m := fixture(t)
-	if _, err := BuildEnsemble(m.Net, m.Test, nil, axnn.Options{}, 1); err == nil {
+	if _, err := BuildEnsemble(core.NewCache(core.CacheConfig{}), m.Net, m.Test, nil, axnn.Options{}, 1); err == nil {
 		t.Fatal("empty pool must fail")
 	}
-	if _, err := BuildEnsemble(m.Net, m.Test, []string{"mul8u_NOPE"}, axnn.Options{}, 1); err == nil {
+	if _, err := BuildEnsemble(core.NewCache(core.CacheConfig{}), m.Net, m.Test, []string{"mul8u_NOPE"}, axnn.Options{}, 1); err == nil {
 		t.Fatal("unknown multiplier must fail")
 	}
 }

@@ -148,7 +148,8 @@ func (e *Engine) bind(ctx context.Context, plan *Plan) (*PlanRun, error) {
 			return nil, err
 		}
 	}
-	victims, err := core.BuildAxVictims(vic.Net, vic.Test, spec.ExpandMultipliers(), axnn.Options{Bits: spec.Bits, ApproxDense: spec.ApproxDense})
+	qopts := axnn.Options{Bits: spec.Bits, ApproxDense: spec.ApproxDense}
+	victims, err := e.cache.AxVictims(vic.Net, vic.Test, spec.ExpandMultipliers(), qopts)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +187,7 @@ func (e *Engine) bind(ctx context.Context, plan *Plan) (*PlanRun, error) {
 			victims = append(victims, core.NewFloatVictim(d.AdvTrainVictimName(), hm.Net))
 		}
 		if d.Has(DefenseEnsemble) {
-			ens, err := defense.BuildEnsemble(vic.Net, vic.Test, d.ExpandPool(), axnn.Options{Bits: spec.Bits, ApproxDense: spec.ApproxDense}, spec.Seed)
+			ens, err := defense.BuildEnsemble(e.cache, vic.Net, vic.Test, d.ExpandPool(), qopts, spec.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -197,13 +198,13 @@ func (e *Engine) bind(ctx context.Context, plan *Plan) (*PlanRun, error) {
 		}
 	}
 
-	atks := make([]attack.Attack, len(plan.Grids))
+	targets := make([]*core.CraftTarget, len(plan.Grids))
 	for gi, name := range plan.Grids {
 		a, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("experiment: plan grid %q has no attack", name)
 		}
-		atks[gi] = a
+		targets[gi] = core.NewCraftTarget(src.Net, test, a)
 	}
 
 	names := make([]string, len(victims))
@@ -217,9 +218,8 @@ func (e *Engine) bind(ctx context.Context, plan *Plan) (*PlanRun, error) {
 		plan:     plan,
 		dataset:  vic.Test.Name,
 		cleanAcc: src.CleanAcc,
-		src:      src.Net,
 		test:     test,
-		atks:     atks,
+		targets:  targets,
 		names:    names,
 		models:   models,
 		opts: core.Options{

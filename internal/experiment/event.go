@@ -20,7 +20,8 @@ const (
 	// CacheHit / CacheMiss report whether the cell's crafted batch was
 	// served from the engine cache — across attacks, the eps=0 clean
 	// row hits after the first attack; across Runs, every repeated
-	// cell hits.
+	// cell hits; a cell that waited on a concurrent craft of the same
+	// batch (another job on a shared cache) hits too.
 	CacheHit
 	CacheMiss
 	// SuiteStarted / SuiteFinished bracket a whole Run when a job

@@ -10,7 +10,6 @@ import (
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
@@ -49,14 +48,15 @@ type PlanRun struct {
 	plan     *Plan
 	dataset  string
 	cleanAcc float64
-	src      *nn.Network
 	test     *dataset.Set
-	atks     []attack.Attack // parallel to plan.Grids
-	names    []string        // victim columns, in report order
-	models   []attack.Model  // parallel to names
-	opts     core.Options
-	cache    *core.Cache
-	emit     func(Event)
+	// targets carry each grid's craft identity, hashed once at bind;
+	// parallel to plan.Grids.
+	targets []*core.CraftTarget
+	names   []string       // victim columns, in report order
+	models  []attack.Model // parallel to names
+	opts    core.Options
+	cache   *core.Cache
+	emit    func(Event)
 }
 
 // Plan returns the plan this run was bound from.
@@ -182,7 +182,7 @@ func (x *LocalExecutor) run(ctx context.Context, run *PlanRun, cells []int, stat
 		//axvet:ignore determinism -- wall-clock start for the ElapsedMS metric, which report comparisons normalize
 		st.start = time.Now()
 		run.emit(Event{Kind: CellStarted, Suite: plan.spec.Name, Attack: cell.Attack, Eps: cell.Eps, Cell: cell.Index, Cells: plan.Total})
-		adv, hit, err := run.cache.CraftedBatch(st.ctx, run.src, run.test, run.atks[cell.Grid], cell.Eps, run.opts)
+		adv, hit, err := run.cache.CraftedBatch(st.ctx, run.targets[cell.Grid], cell.Eps, run.opts)
 		if err != nil {
 			fail(err)
 			return
@@ -258,7 +258,7 @@ func (x *LocalExecutor) run(ctx context.Context, run *PlanRun, cells []int, stat
 			pick := 0
 			for i, ci := range craftReady {
 				c := plan.Cells[ci]
-				if run.cache.CraftedCached(run.src, run.test, run.atks[c.Grid], c.Eps, run.opts) {
+				if run.cache.CraftedCached(run.targets[c.Grid], c.Eps, run.opts) {
 					pick = i
 					break
 				}

@@ -12,8 +12,9 @@ import (
 )
 
 // CellTiming records one (attack, eps) cell of the executed plan:
-// whether its crafted batch was a cache hit and how long crafting
-// plus all victim evaluations took.
+// whether its crafted batch was a cache hit (the cell crafted nothing:
+// the batch came from memory, from disk, or from a concurrent craft it
+// waited on) and how long crafting plus all victim evaluations took.
 type CellTiming struct {
 	Attack    string  `json:"attack"`
 	Eps       float64 `json:"eps"`

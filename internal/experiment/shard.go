@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"log"
 	"math"
 	"slices"
 	"sync"
@@ -92,6 +93,16 @@ func (x *ShardExecutor) runRemote(ctx context.Context, run *PlanRun, peer Peer, 
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
+	// Say why: the span carries the cause into the job's trace and the
+	// log line to the operator. The span covers the local re-run, whose
+	// grid spans stay under the suite, as in an unsharded run.
+	_, span := obs.Start(ctx, "shard-fallback", obs.Attr{Key: "reason", Value: err.Error()})
+	defer span.End()
+	trace := "-"
+	if rec, _ := obs.FromContext(ctx); rec != nil {
+		trace = rec.TraceID()
+	}
+	log.Printf("experiment: trace %s: %d cells of %v fall back to local: %v", trace, len(cells), grids, err)
 	if err := x.Local.run(ctx, run, cells, states); err != nil {
 		return err
 	}

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"log"
 	"math"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/modelzoo"
+	"repro/internal/obs"
 )
 
 // peerFunc adapts a function to Peer.
@@ -25,8 +29,10 @@ func (f peerFunc) ExecuteShard(ctx context.Context, spec *Spec, grids []string) 
 // with that report broken in each way the executor must catch before a
 // peer row enters a cell state. An accepted report counts its cells as
 // remote; a rejected one — like an unreachable peer — has its cells
-// re-run locally and counted as fallback. Either way the suite's CSV
-// equals a local run's and every plan position finishes exactly once.
+// re-run locally and counted as fallback, with its cause on a
+// shard-fallback span and in one log line; every rejection names a
+// different cause. Either way the suite's CSV equals a local run's and
+// every plan position finishes exactly once.
 func TestShardExecutorChecksPeerReports(t *testing.T) {
 	ctx := context.Background()
 	src := fixtureSource(t)
@@ -83,6 +89,7 @@ func TestShardExecutorChecksPeerReports(t *testing.T) {
 		{name: "NaN elapsed", mutate: func(r *Report) *Report { r.Cells[0].ElapsedMS = math.NaN(); return r }},
 		{name: "clean accuracy skew", mutate: func(r *Report) *Report { r.CleanAcc++; return r }},
 	}
+	reasons := map[string]string{} // cause -> case
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			peer := peerFunc(func(_ context.Context, got *Spec, grids []string) (*Report, error) {
@@ -98,32 +105,48 @@ func TestShardExecutorChecksPeerReports(t *testing.T) {
 				}
 				return rep, nil
 			})
-			assertShardRun(t, src, cache, peer, localCSV.Bytes(), tc.remote, peerCells)
+			reason := assertShardRun(t, src, cache, peer, localCSV.Bytes(), tc.remote, peerCells)
+			if tc.remote {
+				return
+			}
+			if prev, dup := reasons[reason]; dup {
+				t.Fatalf("fallback cause %q is the same as case %q's", reason, prev)
+			}
+			reasons[reason] = tc.name
 		})
 	}
 	t.Run("peer error", func(t *testing.T) {
 		peer := peerFunc(func(context.Context, *Spec, []string) (*Report, error) {
 			return nil, errors.New("connection refused")
 		})
-		assertShardRun(t, src, cache, peer, localCSV.Bytes(), false, peerCells)
+		if reason := assertShardRun(t, src, cache, peer, localCSV.Bytes(), false, peerCells); !strings.Contains(reason, "connection refused") {
+			t.Fatalf("fallback cause %q does not carry the peer error", reason)
+		}
 	})
 }
 
 // assertShardRun runs tinySpec on a ShardExecutor over one peer and
-// checks the CSV, the scheduler counters, and the event stream.
-func assertShardRun(t *testing.T, src func(context.Context, string) (*modelzoo.Model, error), cache *core.Cache, peer Peer, wantCSV []byte, remote bool, peerCells int64) {
+// checks the CSV, the scheduler counters, the event stream, and that a
+// fallback (and only a fallback) leaves one shard-fallback span and one
+// log line under the run's trace ID. It returns the fallback's cause,
+// "" when the peer part was accepted.
+func assertShardRun(t *testing.T, src func(context.Context, string) (*modelzoo.Model, error), cache *core.Cache, peer Peer, wantCSV []byte, remote bool, peerCells int64) string {
 	t.Helper()
 	var sc SchedCounters
 	var mu sync.Mutex
 	finished := map[int]int{}
+	var logBuf bytes.Buffer
+	log.SetOutput(&logBuf)
+	defer log.SetOutput(os.Stderr)
 	x := &ShardExecutor{Local: LocalExecutor{Counters: &sc}, Peers: []Peer{peer}}
+	rec := obs.NewRecorder(0)
 	rep, err := New(WithModelSource(src), WithCache(cache), WithExecutor(x), WithProgress(func(ev Event) {
 		if ev.Kind == CellFinished {
 			mu.Lock()
 			finished[ev.Cell]++
 			mu.Unlock()
 		}
-	})).Run(context.Background(), tinySpec())
+	})).Run(obs.WithRecorder(context.Background(), rec), tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,4 +175,31 @@ func assertShardRun(t *testing.T, src func(context.Context, string) (*modelzoo.M
 			t.Fatalf("plan index %d finished %d times, want exactly once", idx, finished[idx])
 		}
 	}
+	logs := strings.Split(strings.TrimSuffix(logBuf.String(), "\n"), "\n")
+	if logBuf.Len() == 0 {
+		logs = nil
+	}
+	var reasons []string
+	for _, sp := range rec.Spans() {
+		if sp.Name == "shard-fallback" {
+			for _, a := range sp.Attrs {
+				if a.Key == "reason" {
+					reasons = append(reasons, a.Value)
+				}
+			}
+		}
+	}
+	if remote {
+		if len(reasons) != 0 || len(logs) != 0 {
+			t.Fatalf("accepted peer part left fallback causes %q and log lines %q", reasons, logs)
+		}
+		return ""
+	}
+	if len(reasons) != 1 || reasons[0] == "" {
+		t.Fatalf("fallback left causes %q, want one shard-fallback span with a reason", reasons)
+	}
+	if len(logs) != 1 || !strings.Contains(logs[0], rec.TraceID()) || !strings.Contains(logs[0], reasons[0]) {
+		t.Fatalf("fallback logged %q, want one line with trace %s and cause %q", logs, rec.TraceID(), reasons[0])
+	}
+	return reasons[0]
 }

@@ -297,6 +297,10 @@ func writeMetrics(w http.ResponseWriter, m *Manager) {
 		{"axserve_cache_pred_misses_total", "Victim-prediction cache misses.", st.PredMisses},
 		{"axserve_cache_craft_evictions_total", "Crafted-batch epoch evictions.", st.CraftEvictions},
 		{"axserve_cache_pred_evictions_total", "Prediction epoch evictions.", st.PredEvictions},
+		{"axserve_cache_craft_coalesced_total", "Crafted-batch misses that waited for a concurrent craft of the same batch instead of crafting.", st.CraftCoalesced},
+		{"axserve_cache_pred_coalesced_total", "Prediction misses that waited for a concurrent scoring of the same victim and batch instead of scoring.", st.PredCoalesced},
+		{"axserve_cache_compiles_total", "AxDNN victim compilations; one per distinct source and quantization configuration.", st.Compiles},
+		{"axserve_cache_compile_hits_total", "Victim builds served by an already compiled network.", st.CompileHits},
 		{"axserve_cache_disk_craft_hits_total", "Crafted batches served from the persistent tier.", st.DiskCraftHits},
 		{"axserve_cache_disk_craft_misses_total", "Crafted-batch probes the persistent tier missed.", st.DiskCraftMisses},
 		{"axserve_cache_disk_pred_hits_total", "Predictions served from the persistent tier.", st.DiskPredHits},

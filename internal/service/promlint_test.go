@@ -67,6 +67,21 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 			t.Errorf("family %s has no samples", name)
 		}
 	}
+	// The cache's single-flight and compiled-victim counters. The suite
+	// ran one compile.
+	for _, name := range []string{
+		"axserve_cache_craft_coalesced_total",
+		"axserve_cache_pred_coalesced_total",
+		"axserve_cache_compiles_total",
+		"axserve_cache_compile_hits_total",
+	} {
+		if f, ok := families[name]; !ok || f.typ != "counter" || f.samples != 1 {
+			t.Errorf("family %s missing or malformed: %+v", name, f)
+		}
+	}
+	if !strings.Contains(text, "\naxserve_cache_compiles_total 1\n") {
+		t.Errorf("axserve_cache_compiles_total is not 1 after one suite")
+	}
 	if f, ok := families["axserve_build_info"]; !ok || f.typ != "gauge" {
 		t.Fatalf("axserve_build_info missing or not a gauge: %+v", f)
 	}

@@ -249,3 +249,43 @@ func TestRaceShardedMergeConcurrentReaders(t *testing.T) {
 		t.Fatal("healthy peer must not trigger fallback")
 	}
 }
+
+// TestConcurrentJobsCompileOnce: 16 jobs over one model, with differing
+// multiplier subsets, submitted at once to a manager running them
+// concurrently, share one victim compile through the manager's cache.
+func TestConcurrentJobsCompileOnce(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 4})
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	designs := []string{"mul8u_1JFF", "mul8u_JV3", "mul8u_L40", "mul8u_17KS"}
+	const jobs = 16
+	var wg sync.WaitGroup
+	errs := make(chan error, jobs)
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spec := tinySpec()
+			spec.Attacks = []string{"FGM-linf"}
+			spec.Multipliers = []string{designs[i%4], designs[(i/4+i%4+1)%4]}
+			// Distinct sample counts make distinct jobs (no dedup); the
+			// victims still calibrate on the same leading test samples.
+			spec.Samples = 20 + i
+			id, _, err := m.Submit(spec)
+			if err == nil {
+				_, err = m.Wait(ctx, id)
+			}
+			if err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := m.Cache().Stats(); st.Compiles != 1 || st.Compiles+st.CompileHits != jobs {
+		t.Fatalf("%d jobs made %d compiles and %d compile hits, want 1 and %d", jobs, st.Compiles, st.CompileHits, jobs-1)
+	}
+}
