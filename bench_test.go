@@ -242,46 +242,38 @@ func BenchmarkTable2_Transferability(b *testing.B) {
 		{"lenet5-digits32", "alexnet-digits", "digits"},
 		{"lenet5-objects", "alexnet-objects", "objects"},
 	}
-	atk := attack.ByName("BIM-linf")
-	opts := core.Options{Samples: benchSamples(150), Seed: 17}
+	// Each (source, victim) cell is a victim_model spec on one engine
+	// over benchCache.
+	eng := experiment.New(experiment.WithCache(benchCache))
+	samples := benchSamples(150)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := ""
 		for _, fam := range families {
-			ln, err := modelzoo.Get(fam.lenet)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ax, err := modelzoo.Get(fam.alex)
-			if err != nil {
-				b.Fatal(err)
-			}
 			// Victims use their dataset-appropriate multiplier (the
 			// paper selects multipliers per error resilience): 17KS for
 			// LeNet-5, KEM for the deeper AlexNet.
-			lv, err := core.BuildAxVictims(ln.Net, ln.Test, []string{"mul8u_17KS"}, axnn.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			av, err := core.BuildAxVictims(ax.Net, ax.Test, []string{"mul8u_KEM"}, axnn.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, cell := range []struct {
-				src *modelzoo.Model
-				vic core.Victim
-				tag string
-			}{
-				{ln, lv[0], "AccL5  -> AxL5 "},
-				{ln, av[0], "AccL5  -> AxAlx"},
-				{ax, lv[0], "AccAlx -> AxL5 "},
-				{ax, av[0], "AccAlx -> AxAlx"},
+			mult := map[string]string{fam.lenet: "mul8u_17KS", fam.alex: "mul8u_KEM"}
+			for _, cell := range []struct{ src, vic, tag string }{
+				{fam.lenet, fam.lenet, "AccL5  -> AxL5 "},
+				{fam.lenet, fam.alex, "AccL5  -> AxAlx"},
+				{fam.alex, fam.lenet, "AccAlx -> AxL5 "},
+				{fam.alex, fam.alex, "AccAlx -> AxAlx"},
 			} {
-				r, err := benchCache.Transfer(context.Background(), cell.src.Net, cell.vic, cell.src.Test, atk, 0.05, opts)
+				rep, err := eng.Run(context.Background(), &experiment.Spec{
+					Model:       cell.src,
+					VictimModel: cell.vic,
+					Multipliers: []string{mult[cell.vic]},
+					Attacks:     []string{"BIM-linf"},
+					Eps:         []float64{0, 0.05},
+					Samples:     samples,
+					Seed:        17,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				out += fmt.Sprintf("%s [%s]: %3.0f/%-3.0f\n", cell.tag, fam.label, r.CleanAcc, r.AdvAcc)
+				g := rep.Grids[0]
+				out += fmt.Sprintf("%s [%s]: %3.0f/%-3.0f\n", cell.tag, fam.label, g.Acc[0][0], g.Acc[1][0])
 			}
 		}
 		emit(b, "Table II transferability (BIM-linf eps=0.05, X/Y = before/after)", out)

@@ -21,7 +21,11 @@
 //	axtransfer -attack MIFGSM-linf               # momentum transfer
 //	axtransfer -attack UAP-linf                  # universal transfer
 //	axtransfer -attack PGD-linf -restarts 3
-//	axtransfer -spec testdata/specs/table2-digits-cross.json
+//
+// One declared transfer cell (a checked-in victim_model spec) runs
+// through axrobust, which also applies flag overrides to it:
+//
+//	axrobust -spec testdata/specs/table2-digits-cross.json
 package main
 
 import (
@@ -37,7 +41,6 @@ import (
 )
 
 func main() {
-	specPath := flag.String("spec", "", "run one transfer cell declared in this JSON spec file")
 	atkName := flag.String("attack", "BIM-linf", "attack crafted on the source model")
 	eps := flag.Float64("eps", 0.05, "perturbation budget")
 	n := flag.Int("n", 300, "test samples per cell")
@@ -65,40 +68,6 @@ func main() {
 	eng := experiment.New(engineOpts...)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if *specPath != "" {
-		spec, err := experiment.Load(*specPath)
-		if err != nil {
-			cli.Fail("axtransfer", err)
-		}
-		// Explicitly set flags override the spec, matching axrobust:
-		// a checked-in cell can be replayed at a different scale.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "n":
-				spec.Samples = *n
-			case "eps":
-				spec.Eps = cellEps
-			case "mult":
-				spec.Multipliers = []string{*mult}
-			case "attack":
-				spec.Attacks = []string{*atkName}
-			case "restarts":
-				// Merge into the spec's params: an explicit -restarts
-				// must not discard momentum/uap_iters the spec set.
-				if spec.AttackParams == nil {
-					spec.AttackParams = &experiment.AttackParams{}
-				}
-				spec.AttackParams.Restarts = *restarts
-			}
-		})
-		rep, err := eng.Run(ctx, spec)
-		if err != nil {
-			cli.Fail("axtransfer", err)
-		}
-		fmt.Print(rep)
-		return
-	}
 
 	fmt.Printf("Transferability (Table II): %s eps=%g\n", *atkName, *eps)
 	fmt.Printf("%-36s %-8s %s\n", "source -> victim", "dataset", "clean/adv")

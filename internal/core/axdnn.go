@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/attack"
 	"repro/internal/axmult"
 	"repro/internal/axnn"
 	"repro/internal/dataset"
@@ -45,30 +44,18 @@ func BuildAxVictims(src *nn.Network, calib *dataset.Set, mults []string, opts ax
 // compiled network.
 func (c *Cache) AxVictims(src *nn.Network, calib *dataset.Set, mults []string, opts axnn.Options) ([]Victim, error) {
 	samples := calib.Inputs(calibSamples)
-	key := axnn.ConfigKey(src, samples, opts)
-	if v, ok := c.nets.Load(key); ok {
-		c.compileHits.Add(1)
-		return withMultipliers(v.(*axnn.Network), mults)
-	}
 	// A compile is not cancellable, so its waiters need no ctx.
-	base, led, err := c.compileFlights.do(context.Background(), key, func() (*axnn.Network, error) {
-		if v, ok := c.nets.Load(key); ok {
-			c.compileHits.Add(1)
-			return v.(*axnn.Network), nil
-		}
+	base, hit, err := c.compileFlights.get(context.Background(), axnn.ConfigKey(src, samples, opts), func() (*axnn.Network, bool, error) {
 		base, err := compileVictim(src, samples, opts)
-		if err != nil {
-			return nil, err
-		}
-		c.compiles.Add(1)
-		c.storeNet(key, base)
-		return base, nil
+		return base, false, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if !led {
+	if hit {
 		c.compileHits.Add(1)
+	} else {
+		c.compiles.Add(1)
 	}
 	return withMultipliers(base, mults)
 }
@@ -95,27 +82,10 @@ func withMultipliers(base *axnn.Network, mults []string) ([]Victim, error) {
 	return victims, nil
 }
 
-func (c *Cache) storeNet(key string, n *axnn.Network) {
-	if c.netCount.Load() >= maxCompiled {
-		c.clearNets()
-	}
-	if _, loaded := c.nets.LoadOrStore(key, n); !loaded {
-		c.netCount.Add(1)
-	}
-}
-
-func (c *Cache) clearNets() {
-	c.nets.Range(func(k, _ any) bool {
-		c.nets.Delete(k)
-		return true
-	})
-	c.netCount.Store(0)
-}
-
 // QuantPair returns the Fig. 8 victim pair: the non-quantized float
 // network and its 8-bit quantized (exact-multiplier) counterpart.
 func QuantPair(src *nn.Network, calib *dataset.Set, bits uint) ([]Victim, error) {
-	q, err := axnn.Compile(src, calib.Inputs(calibSamples), axnn.Options{Bits: bits})
+	q, err := compileVictim(src, calib.Inputs(calibSamples), axnn.Options{Bits: bits})
 	if err != nil {
 		return nil, err
 	}
@@ -130,38 +100,4 @@ func bitsLabel(bits uint) uint {
 		return 8
 	}
 	return bits
-}
-
-// TransferResult is one cell of the paper's Table II: accuracy of a
-// victim before and after replaying adversarial examples crafted on a
-// different source model.
-type TransferResult struct {
-	Source  string
-	Victim  string
-	Dataset string
-	// CleanAcc and AdvAcc are percentages ("X/Y" in Table II).
-	CleanAcc float64
-	AdvAcc   float64
-}
-
-// Transfer crafts adversarial examples on src (accurate float model)
-// and measures victim accuracy before and after — the paper's
-// transferability protocol with BIM-linf at eps=0.05.
-func (c *Cache) Transfer(ctx context.Context, src *nn.Network, victim Victim, set *dataset.Set, atk attack.Attack, eps float64, opts Options) (TransferResult, error) {
-	g, err := c.RobustnessGrid(ctx, src, []Victim{victim}, set, atk, []float64{0, eps}, opts)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	return TransferResult{
-		Source:   src.Name,
-		Victim:   victim.Name,
-		Dataset:  set.Name,
-		CleanAcc: g.Acc[0][0],
-		AdvAcc:   g.Acc[1][0],
-	}, nil
-}
-
-// String renders the result in Table II's "before/after" notation.
-func (t TransferResult) String() string {
-	return fmt.Sprintf("%s -> %s on %s: %.0f/%.0f", t.Source, t.Victim, t.Dataset, t.CleanAcc, t.AdvAcc)
 }

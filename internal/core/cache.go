@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -57,8 +58,8 @@ const (
 	defaultPredMax     int64 = 4096
 )
 
-// Cache memoises crafted adversarial batches and victim predictions
-// for one evaluation engine. Step 1 of Algorithm 1 is
+// Cache memoises crafted adversarial batches, victim predictions and
+// compiled victims for one evaluation engine. Step 1 of Algorithm 1 is
 // victim-independent, so identical (source, samples, attack, eps,
 // seed) cells never need re-crafting; the victim side memoises per
 // (victim, batch) so overlapping sweeps — the attack-independent
@@ -69,52 +70,32 @@ const (
 // observe each other's entries. A zero Cache is not usable; construct
 // with NewCache. All methods are safe for concurrent use.
 type Cache struct {
-	craft       sync.Map // craftKey -> *tensor.T
-	pred        sync.Map // predKey -> []int
-	craftSize   atomic.Int64
-	predCount   atomic.Int64
-	craftBudget int64
-	predMax     int64
+	// The three memos, each named for the in-flight table that
+	// coalesces its concurrent misses. Crafted batches cost their
+	// float32 element count against CraftBudget, and their epoch reset
+	// also drops the predictions keyed by them; predictions cost one
+	// entry against PredMax; compiled victims (see AxVictims) one entry
+	// against maxCompiled.
+	craftFlights   memo[craftKey, *tensor.T]
+	predFlights    memo[predKey, []int]
+	compileFlights memo[string, *axnn.Network]
 	// disk is the optional persistent tier (CacheConfig.Disk): probed
 	// on memory misses, written through on computes. Store failures
 	// degrade to recomputes, never to errors on the evaluation path.
 	disk *store.Store
 
-	// nets memoises compiled AxDNN bases by axnn.ConfigKey (see
-	// AxVictims), at most maxCompiled of them.
-	nets     sync.Map // string -> *axnn.Network
-	netCount atomic.Int64
-
-	// In-flight tables: every memory miss runs behind one, so
-	// concurrent misses on one key compute it once.
-	craftFlights   flights[craftKey, memoed[*tensor.T]]
-	predFlights    flights[predKey, memoed[[]int]]
-	compileFlights flights[string, *axnn.Network]
-
-	// Lifetime counters behind Stats. They are monotone: Clear and the
-	// budget evictions drop entries but never reset the counters, so
-	// long-lived services can export them as Prometheus-style counters.
-	craftHits      atomic.Int64
-	craftMisses    atomic.Int64
-	predHits       atomic.Int64
-	predMisses     atomic.Int64
-	craftEvictions atomic.Int64
-	predEvictions  atomic.Int64
-	craftCoalesced atomic.Int64
-	predCoalesced  atomic.Int64
-	compiles       atomic.Int64
-	compileHits    atomic.Int64
-
-	// Disk-tier counters. diskCraft/diskPred hits and misses partition
-	// the memory misses that went on to probe the store; diskErrors
-	// counts store writes that failed and stored values that would not
-	// decode (both degrade to recomputes).
-	diskCraftHits   atomic.Int64
-	diskCraftMisses atomic.Int64
-	diskPredHits    atomic.Int64
-	diskPredMisses  atomic.Int64
-	diskErrors      atomic.Int64
+	// Monotone counters behind Stats, beside the memos' own.
+	compiles    atomic.Int64
+	compileHits atomic.Int64
+	// diskCraft/diskPred partition the memory misses that went on to
+	// probe the store; diskErrors counts store writes that failed and
+	// stored values that would not decode (both degrade to recomputes).
+	diskCraft  diskCounts
+	diskPred   diskCounts
+	diskErrors atomic.Int64
 }
+
+type diskCounts struct{ hits, misses atomic.Int64 }
 
 // CacheStats is a point-in-time snapshot of a cache's counters — the
 // surface a metrics endpoint scrapes and cache tests assert directly
@@ -181,23 +162,23 @@ type CacheStats struct {
 // read independently), which is all a metrics scrape needs.
 func (c *Cache) Stats() CacheStats {
 	s := CacheStats{
-		CraftHits:       c.craftHits.Load(),
-		CraftMisses:     c.craftMisses.Load(),
-		PredHits:        c.predHits.Load(),
-		PredMisses:      c.predMisses.Load(),
-		CraftCoalesced:  c.craftCoalesced.Load(),
-		PredCoalesced:   c.predCoalesced.Load(),
+		CraftHits:       c.craftFlights.hits.Load(),
+		CraftMisses:     c.craftFlights.misses.Load(),
+		PredHits:        c.predFlights.hits.Load(),
+		PredMisses:      c.predFlights.misses.Load(),
+		CraftCoalesced:  c.craftFlights.coalesced.Load(),
+		PredCoalesced:   c.predFlights.coalesced.Load(),
 		Compiles:        c.compiles.Load(),
 		CompileHits:     c.compileHits.Load(),
-		CraftEvictions:  c.craftEvictions.Load(),
-		PredEvictions:   c.predEvictions.Load(),
+		CraftEvictions:  c.craftFlights.evictions.Load(),
+		PredEvictions:   c.predFlights.evictions.Load(),
 		CraftEntries:    int64(c.CraftedLen()),
-		PredEntries:     c.predCount.Load(),
-		CraftBytes:      c.craftSize.Load() * 4, // float32 elements
-		DiskCraftHits:   c.diskCraftHits.Load(),
-		DiskCraftMisses: c.diskCraftMisses.Load(),
-		DiskPredHits:    c.diskPredHits.Load(),
-		DiskPredMisses:  c.diskPredMisses.Load(),
+		PredEntries:     c.predFlights.used.Load(),
+		CraftBytes:      c.craftFlights.used.Load() * 4, // float32 elements
+		DiskCraftHits:   c.diskCraft.hits.Load(),
+		DiskCraftMisses: c.diskCraft.misses.Load(),
+		DiskPredHits:    c.diskPred.hits.Load(),
+		DiskPredMisses:  c.diskPred.misses.Load(),
 		DiskErrors:      c.diskErrors.Load(),
 	}
 	if c.disk != nil {
@@ -213,13 +194,26 @@ func (c *Cache) Stats() CacheStats {
 
 // NewCache returns an empty cache with the given retention bounds.
 func NewCache(cfg CacheConfig) *Cache {
-	c := &Cache{craftBudget: cfg.CraftBudget, predMax: cfg.PredMax, disk: cfg.Disk}
-	if c.craftBudget <= 0 {
-		c.craftBudget = defaultCraftBudget
+	c := &Cache{disk: cfg.Disk}
+	c.craftFlights.limit, c.predFlights.limit = cfg.CraftBudget, cfg.PredMax
+	if c.craftFlights.limit <= 0 {
+		c.craftFlights.limit = defaultCraftBudget
 	}
-	if c.predMax <= 0 {
-		c.predMax = defaultPredMax
+	if c.predFlights.limit <= 0 {
+		c.predFlights.limit = defaultPredMax
 	}
+	c.craftFlights.cost = func(b *tensor.T) int64 { return int64(b.Len()) }
+	c.craftFlights.reset = func() {
+		// The reset wipes the prediction memos alongside the batches;
+		// account for that so scrapers can attribute the drop.
+		// Compiled victims stay: they do not grow with the batches and
+		// cost a compile to rebuild.
+		if c.predFlights.used.Load() > 0 {
+			c.predFlights.evictions.Add(1)
+		}
+		c.predFlights.clear()
+	}
+	c.compileFlights.limit = maxCompiled
 	return c
 }
 
@@ -228,97 +222,37 @@ func NewCache(cfg CacheConfig) *Cache {
 // (the keys fingerprint the network), so this exists to reclaim memory
 // in long-running sweeps ahead of the automatic evictions.
 func (c *Cache) Clear() {
-	c.clearCrafted()
-	c.clearNets()
-}
-
-// clearCrafted drops the batches and, with them, the prediction memos
-// keyed by them: the craft budget's epoch reset. Compiled victims stay;
-// they do not grow with the batches and cost a compile to rebuild.
-func (c *Cache) clearCrafted() {
-	c.craft.Range(func(k, _ any) bool {
-		c.craft.Delete(k)
-		return true
-	})
-	c.craftSize.Store(0)
-	c.clearPreds()
-}
-
-func (c *Cache) clearPreds() {
-	c.pred.Range(func(k, _ any) bool {
-		c.pred.Delete(k)
-		return true
-	})
-	c.predCount.Store(0)
+	c.craftFlights.clear()
+	c.predFlights.clear()
+	c.compileFlights.clear()
 }
 
 // CraftedLen reports the number of memoised (attack, eps, seed)
 // batches.
-func (c *Cache) CraftedLen() int {
-	n := 0
-	c.craft.Range(func(_, _ any) bool {
-		n++
-		return true
-	})
-	return n
-}
+func (c *Cache) CraftedLen() int { return c.craftFlights.len() }
 
-// storeCrafted memoises one batch, resetting the batches first when the
-// retention budget would be exhausted. It returns the retained tensor:
-// should two calls ever store the same cell, both converge on the
-// single stored batch and the size accounting counts it once.
-func (c *Cache) storeCrafted(key craftKey, b *tensor.T) *tensor.T {
-	if c.craftSize.Load()+int64(b.Len()) > c.craftBudget {
-		c.craftEvictions.Add(1)
-		// The reset wipes the prediction memos alongside the batches;
-		// account for that so scrapers can attribute the drop.
-		if c.predCount.Load() > 0 {
-			c.predEvictions.Add(1)
-		}
-		c.clearCrafted()
-	}
-	if prev, loaded := c.craft.LoadOrStore(key, b); loaded {
-		return prev.(*tensor.T)
-	}
-	c.craftSize.Add(int64(b.Len()))
-	return b
-}
-
-// storePreds memoises one victim's predictions under the same epoch
-// eviction scheme. Only the prediction memos are dropped on overflow —
-// crafted batches are expensive and stay until their own budget trips.
-func (c *Cache) storePreds(key predKey, preds []int) {
-	if c.predCount.Load() >= c.predMax {
-		c.predEvictions.Add(1)
-		c.clearPreds()
-	}
-	if _, loaded := c.pred.LoadOrStore(key, preds); !loaded {
-		c.predCount.Add(1)
-	}
-}
-
-// diskCraftProbe asks the persistent tier for one crafted batch,
-// validating the decoded shape against what the compute path would
-// produce. A stored value that will not decode or has the wrong shape
-// counts a disk error and degrades to a recompute.
-func (c *Cache) diskCraftProbe(ctx context.Context, dkey string, want []int) (*tensor.T, bool) {
+// diskProbe asks the persistent tier for one artifact by its
+// content-addressed key. decode also validates: a stored value it
+// rejects (undecodable, or shaped unlike what the compute path would
+// produce) counts a disk error and, like an absent one, degrades to a
+// recompute.
+func diskProbe[V any](ctx context.Context, c *Cache, n *diskCounts, dkey string, decode func([]byte) (V, bool)) (v V, ok bool) {
 	pctx, probe := obs.Start(ctx, "cache-probe")
 	defer probe.End()
 	_, get := obs.Start(pctx, "disk-get")
-	val, ok := c.disk.Get(dkey)
+	val, found := c.disk.Get(dkey)
 	get.End()
-	if !ok {
-		c.diskCraftMisses.Add(1)
-		return nil, false
+	if found {
+		if v, ok = decode(val); !ok {
+			c.diskErrors.Add(1)
+		}
 	}
-	t, err := decodeTensor(val)
-	if err != nil || !shapeEq(t.Shape, want) {
-		c.diskErrors.Add(1)
-		c.diskCraftMisses.Add(1)
-		return nil, false
+	if ok {
+		n.hits.Add(1)
+	} else {
+		n.misses.Add(1)
 	}
-	c.diskCraftHits.Add(1)
-	return t, true
+	return v, ok
 }
 
 // diskPut writes one freshly computed artifact through to the
@@ -330,18 +264,6 @@ func (c *Cache) diskPut(ctx context.Context, dkey string, val []byte) {
 	if err := c.disk.Put(dkey, val); err != nil {
 		c.diskErrors.Add(1)
 	}
-}
-
-func shapeEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // CraftTarget is one crafting target — a source network, a test set
@@ -389,14 +311,6 @@ func (t *CraftTarget) key(epsQ, seed int64) craftKey {
 	}
 }
 
-// memoed is a memo miss's outcome as its leader computed it; hit
-// reports an artifact served without compute (from the disk tier, or
-// memoised by a leader that finished just before this one started).
-type memoed[V any] struct {
-	val V
-	hit bool
-}
-
 // CraftedBatch returns the [N, sampleShape...] adversarial batch for
 // one (attack, eps) cell, crafting it in parallel batches on first
 // use and serving the memo afterwards. hit reports whether the batch
@@ -410,42 +324,21 @@ func (c *Cache) CraftedBatch(ctx context.Context, t *CraftTarget, eps float64, o
 	if t.test.Len() == 0 {
 		return nil, false, errors.New("core: cannot craft over an empty test set")
 	}
-	epsQ := EpsKey(eps)
-	key := t.key(epsQ, opts.Seed)
-	if v, ok := c.craft.Load(key); ok {
-		c.craftHits.Add(1)
-		return v.(*tensor.T), true, nil
-	}
-	c.craftMisses.Add(1)
-	if epsQ == 0 {
-		// The eps=0 cell of every attack's sweep is the stacked clean
-		// inputs — attack- and seed-independent (all attacks are the
-		// identity at zero budget, pinned by the attack tests) and too
-		// cheap to coalesce.
-		return c.storeCrafted(key, tensor.Stack(t.test.X)), false, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	r, led, err := c.craftFlights.do(ctx, key, func() (memoed[*tensor.T], error) {
-		if v, ok := c.craft.Load(key); ok {
-			return memoed[*tensor.T]{v.(*tensor.T), true}, nil
+	key := t.key(EpsKey(eps), opts.Seed)
+	return c.craftFlights.get(ctx, key, func() (*tensor.T, bool, error) {
+		if key.epsQ == 0 {
+			// The eps=0 cell of every attack's sweep is the stacked
+			// clean inputs — attack- and seed-independent (all attacks
+			// are the identity at zero budget, pinned by the attack
+			// tests) and too cheap for a craft span or a disk probe.
+			return tensor.Stack(t.test.X), false, nil
 		}
-		adv, hit, err := c.craftMiss(ctx, t, key, eps, opts)
-		return memoed[*tensor.T]{adv, hit}, err
+		return c.craftMiss(ctx, t, key, eps, opts)
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	if !led {
-		c.craftCoalesced.Add(1)
-		return r.val, true, nil
-	}
-	return r.val, r.hit, nil
 }
 
 // craftMiss is the leader's side of a crafted-batch miss: the disk
-// probe, then the compute, memoised and written through.
+// probe, then the compute, written through.
 func (c *Cache) craftMiss(ctx context.Context, t *CraftTarget, key craftKey, eps float64, opts Options) (*tensor.T, bool, error) {
 	// A memory miss is the start of the craft stage: the span (and the
 	// craft histogram) covers the disk probe plus any recompute, and
@@ -459,10 +352,13 @@ func (c *Cache) craftMiss(ctx context.Context, t *CraftTarget, key craftKey, eps
 	if c.disk != nil {
 		dkey = craftDiskKey(t, key.epsQ, key.seed)
 		want := append([]int{test.Len()}, test.X[0].Shape...)
-		if b, ok := c.diskCraftProbe(ctx, dkey, want); ok {
+		if b, ok := diskProbe(ctx, c, &c.diskCraft, dkey, func(val []byte) (*tensor.T, bool) {
+			b, err := decodeTensor(val)
+			return b, err == nil && slices.Equal(b.Shape, want)
+		}); ok {
 			// A disk hit is an artifact served with zero recompute, which
 			// is what hit means to callers (CellTiming.CacheHit, events).
-			return c.storeCrafted(key, b), true, nil
+			return b, true, nil
 		}
 	}
 
@@ -498,11 +394,10 @@ func (c *Cache) craftMiss(ctx context.Context, t *CraftTarget, key craftKey, eps
 		// Partial batches must never be memoised.
 		return nil, false, err
 	}
-	kept := c.storeCrafted(key, out)
 	if dkey != "" {
-		c.diskPut(ctx, dkey, encodeTensor(kept))
+		c.diskPut(ctx, dkey, encodeTensor(out))
 	}
-	return kept, false, nil
+	return out, false, nil
 }
 
 // CraftedCached reports whether CraftedBatch would return the cell's
@@ -516,7 +411,7 @@ func (c *Cache) CraftedCached(t *CraftTarget, eps float64, opts Options) bool {
 		return false
 	}
 	epsQ := EpsKey(eps)
-	if _, ok := c.craft.Load(t.key(epsQ, opts.Seed)); ok {
+	if c.craftFlights.has(t.key(epsQ, opts.Seed)) {
 		return true
 	}
 	return epsQ != 0 && c.disk != nil && c.disk.Has(craftDiskKey(t, epsQ, opts.Seed))
@@ -536,34 +431,14 @@ func (c *Cache) Predictions(ctx context.Context, m attack.Model, adv *tensor.T, 
 			key.modelFP = f.WeightsFingerprint()
 		}
 	}
-	if v, ok := c.pred.Load(key); ok {
-		c.predHits.Add(1)
-		return v.([]int), true, nil
-	}
-	c.predMisses.Add(1)
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	r, led, err := c.predFlights.do(ctx, key, func() (memoed[[]int], error) {
-		if v, ok := c.pred.Load(key); ok {
-			return memoed[[]int]{v.([]int), true}, nil
-		}
-		preds, hit, err := c.predictMiss(ctx, m, key, adv, opts)
-		return memoed[[]int]{preds, hit}, err
+	return c.predFlights.get(ctx, key, func() ([]int, bool, error) {
+		return c.predictMiss(ctx, m, adv, opts)
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	if !led {
-		c.predCoalesced.Add(1)
-		return r.val, true, nil
-	}
-	return r.val, r.hit, nil
 }
 
 // predictMiss is the leader's side of a prediction miss: the disk
-// probe, then victim scoring, memoised and written through.
-func (c *Cache) predictMiss(ctx context.Context, m attack.Model, key predKey, adv *tensor.T, opts Options) ([]int, bool, error) {
+// probe, then victim scoring, written through.
+func (c *Cache) predictMiss(ctx context.Context, m attack.Model, adv *tensor.T, opts Options) ([]int, bool, error) {
 	ctx, span := obs.Start(ctx, "predict")
 	defer func() { predictHist.Observe(span.End()) }()
 	var dkey string
@@ -572,19 +447,10 @@ func (c *Cache) predictMiss(ctx context.Context, m attack.Model, key predKey, ad
 		// weights fingerprint) stay memory-tier only.
 		if dk, ok := predDiskKey(m, adv); ok {
 			dkey = dk
-			pctx, probe := obs.Start(ctx, "cache-probe")
-			_, get := obs.Start(pctx, "disk-get")
-			val, found := c.disk.Get(dkey)
-			get.End()
-			probe.End()
-			if !found {
-				c.diskPredMisses.Add(1)
-			} else if ps, err := decodePreds(val); err != nil || len(ps) != adv.Rows() {
-				c.diskErrors.Add(1)
-				c.diskPredMisses.Add(1)
-			} else {
-				c.diskPredHits.Add(1)
-				c.storePreds(key, ps)
+			if ps, ok := diskProbe(ctx, c, &c.diskPred, dkey, func(val []byte) ([]int, bool) {
+				ps, err := decodePreds(val)
+				return ps, err == nil && len(ps) == adv.Rows()
+			}); ok {
 				return ps, true, nil
 			}
 		}
@@ -604,7 +470,6 @@ func (c *Cache) predictMiss(ctx context.Context, m attack.Model, key predKey, ad
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	c.storePreds(key, preds)
 	if dkey != "" {
 		c.diskPut(ctx, dkey, encodePreds(preds))
 	}

@@ -19,14 +19,17 @@
 // sweeps never re-craft identical examples. Victim predictions are
 // memoised per (victim, batch) too, so overlapping sweeps — the
 // attack-independent eps=0 clean row, or the same (attack, eps) cell
-// across figures — replay nothing twice.
+// across figures — replay nothing twice. Crafted batches, predictions
+// and compiled victims are each a memo (flight.go): one bounded map
+// read through one coalesced lookup, and a new memoised artifact is a
+// memo too.
 //
 // Every sweep runs against an explicit Cache (NewCache): the single
-// grid of Cache.RobustnessGrid and Cache.Transfer here, whole declared
-// suites (many attacks, one spec, streaming progress, sharding) one
-// level up in internal/experiment. There is no process-global cache,
-// so two callers never interfere, and the crafting/prediction worker
-// loops observe context cancellation.
+// grid of Cache.RobustnessGrid here, whole declared suites (many
+// attacks, one spec, streaming progress, sharding, the Table II
+// transfer cells) one level up in internal/experiment. There is no
+// process-global cache, so two callers never interfere, and the
+// crafting/prediction worker loops observe context cancellation.
 package core
 
 import (

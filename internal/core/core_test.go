@@ -339,6 +339,65 @@ func TestCraftedCacheBudgetEviction(t *testing.T) {
 	}
 }
 
+// TestPredMaxEvictsPredictionsOnly: tripping PredMax resets the
+// prediction memos alone; the crafted batches stay and the craft side
+// records no eviction.
+func TestPredMaxEvictsPredictionsOnly(t *testing.T) {
+	f := getFixture(t)
+	victims, err := BuildAxVictims(f.net, f.test, []string{"mul8u_1JFF", "mul8u_JV3", "mul8u_KEM"}, axnn.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(CacheConfig{PredMax: 2})
+	opts := Options{Samples: 20, Seed: 6}
+	atk := attack.ByName("FGM-linf")
+	mustGrid(t, c, f.net, victims[:2], f.test, atk, []float64{0.1}, opts)
+	if st := c.Stats(); st.PredEntries != 2 || st.PredEvictions != 0 || st.CraftEntries != 1 {
+		t.Fatalf("stats %+v, want 2 predictions, 1 batch and no eviction at the cap", st)
+	}
+	mustGrid(t, c, f.net, victims[2:], f.test, atk, []float64{0.1}, opts)
+	st := c.Stats()
+	if st.PredEvictions != 1 || st.PredEntries != 1 {
+		t.Fatalf("PredMax trip left %d predictions after %d evictions, want 1 after 1", st.PredEntries, st.PredEvictions)
+	}
+	if st.CraftEvictions != 0 || st.CraftEntries != 1 || st.CraftHits != 1 || st.CraftMisses != 1 {
+		t.Fatalf("PredMax trip touched the crafted batches: %+v", st)
+	}
+	// The first victims' predictions are gone; the batch they score is
+	// still served from memory.
+	mustGrid(t, c, f.net, victims[:1], f.test, atk, []float64{0.1}, opts)
+	if st := c.Stats(); st.PredMisses != 4 || st.CraftHits != 2 {
+		t.Fatalf("after the trip: %d prediction misses, %d craft hits; want 4 and 2", st.PredMisses, st.CraftHits)
+	}
+}
+
+// TestCompiledVictimMemoCap: the compiled-victim memo holds
+// maxCompiled configurations; the next distinct one starts a new epoch,
+// so the first configuration compiles again.
+func TestCompiledVictimMemoCap(t *testing.T) {
+	f := getFixture(t)
+	c := NewCache(CacheConfig{})
+	// Each calibration size is a distinct axnn.ConfigKey.
+	build := func(calib int) {
+		t.Helper()
+		if _, err := c.AxVictims(f.net, f.test.Slice(calib), []string{"mul8u_1JFF"}, axnn.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 1; n <= maxCompiled; n++ {
+		build(n)
+	}
+	build(1)
+	if st := c.Stats(); st.Compiles != maxCompiled || st.CompileHits != 1 {
+		t.Fatalf("%d configurations: %d compiles, %d hits; want %d and 1", maxCompiled, st.Compiles, st.CompileHits, maxCompiled)
+	}
+	build(maxCompiled + 1)
+	build(1)
+	if st := c.Stats(); st.Compiles != maxCompiled+2 || st.CompileHits != 1 {
+		t.Fatalf("past the cap: %d compiles, %d hits; want %d and 1 (the first configuration recompiled)", st.Compiles, st.CompileHits, maxCompiled+2)
+	}
+}
+
 func TestBuildAxVictimsUnknownMultiplier(t *testing.T) {
 	f := getFixture(t)
 	if _, err := BuildAxVictims(f.net, f.test, []string{"mul8u_NOPE"}, axnn.Options{}); err == nil {
@@ -354,24 +413,6 @@ func TestQuantPair(t *testing.T) {
 	}
 	if len(pair) != 2 || pair[0].Name != "float" || pair[1].Name != "q8" {
 		t.Fatalf("QuantPair = %v", []string{pair[0].Name, pair[1].Name})
-	}
-}
-
-func TestTransferProtocol(t *testing.T) {
-	f := getFixture(t)
-	victims, err := BuildAxVictims(f.net, f.test, []string{"mul8u_17KS"}, axnn.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewCache(CacheConfig{}).Transfer(context.Background(), f.net, victims[0], f.test, attack.ByName("BIM-linf"), 0.1, Options{Samples: 60, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CleanAcc < res.AdvAcc {
-		t.Fatalf("transfer attack increased accuracy: %v", res)
-	}
-	if !strings.Contains(res.String(), "->") {
-		t.Fatalf("TransferResult.String() = %q", res.String())
 	}
 }
 

@@ -4,15 +4,127 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 )
+
+// memo is one memoised artifact kind of a Cache — crafted batches,
+// victim predictions, compiled victims — and get is its whole lookup
+// path. It is a map of finished values behind a per-key in-flight
+// table, so overlapping jobs compute each distinct artifact once, and
+// it is bounded by an epoch reset: a store whose cost would take the
+// retained total past limit first drops every entry. The zero value
+// (with limit set) is ready to use.
+type memo[K comparable, V any] struct {
+	flights[K, memoed[V]]
+	vals sync.Map // K -> V
+	used atomic.Int64
+	// limit bounds used. cost is a value's charge against it; nil
+	// charges 1 per entry.
+	limit int64
+	cost  func(V) int64
+	// reset, when set, runs on every epoch reset, before the entries
+	// are dropped.
+	reset func()
+
+	// Lifetime counters: monotone, so clear and the epoch resets never
+	// touch them. misses counts memory lookups that missed; coalesced
+	// is the subset of them that waited on another call's miss and
+	// computed nothing.
+	hits, misses, coalesced, evictions atomic.Int64
+}
+
+// memoed is a miss's outcome as its leader produced it; hit reports a
+// value served without compute (from the disk tier, or stored by a
+// leader that finished just before this one started).
+type memoed[V any] struct {
+	val V
+	hit bool
+}
+
+// get returns key's value, running miss to produce it on a memory
+// miss. hit reports whether the value came without compute by this
+// call: a memory hit, a wait on a concurrent call's miss, or miss's own
+// report (a disk-tier hit). Only one miss per key runs at a time, and
+// its value is stored before the calls waiting on it wake; a failed
+// miss stores nothing. Waiters and cancellation behave as in
+// flights.do.
+func (m *memo[K, V]) get(ctx context.Context, key K, miss func() (V, bool, error)) (val V, hit bool, err error) {
+	if v, ok := m.vals.Load(key); ok {
+		m.hits.Add(1)
+		return v.(V), true, nil
+	}
+	m.misses.Add(1)
+	if err := ctx.Err(); err != nil {
+		return val, false, err
+	}
+	r, led, err := m.do(ctx, key, func() (memoed[V], error) {
+		if v, ok := m.vals.Load(key); ok {
+			return memoed[V]{v.(V), true}, nil
+		}
+		v, hit, err := miss()
+		if err != nil {
+			return memoed[V]{}, err
+		}
+		return memoed[V]{m.store(key, v), hit}, nil
+	})
+	if err != nil {
+		return val, false, err
+	}
+	if !led {
+		m.coalesced.Add(1)
+		return r.val, true, nil
+	}
+	return r.val, r.hit, nil
+}
+
+// store memoises one value, starting a new epoch first when its cost
+// would exceed the limit. It returns the retained value: should two
+// calls ever store one key, both converge on the first stored value
+// and the cost counts once.
+func (m *memo[K, V]) store(key K, v V) V {
+	cost := int64(1)
+	if m.cost != nil {
+		cost = m.cost(v)
+	}
+	if m.used.Load()+cost > m.limit {
+		m.evictions.Add(1)
+		if m.reset != nil {
+			m.reset()
+		}
+		m.clear()
+	}
+	if prev, loaded := m.vals.LoadOrStore(key, v); loaded {
+		return prev.(V)
+	}
+	m.used.Add(cost)
+	return v
+}
+
+// clear drops every entry. It is not an eviction: the counters stay.
+func (m *memo[K, V]) clear() {
+	m.vals.Clear()
+	m.used.Store(0)
+}
+
+func (m *memo[K, V]) has(key K) bool {
+	_, ok := m.vals.Load(key)
+	return ok
+}
+
+func (m *memo[K, V]) len() int {
+	n := 0
+	m.vals.Range(func(_, _ any) bool {
+		n++
+		return true
+	})
+	return n
+}
 
 // flights is a per-key in-flight table (singleflight): the first
 // caller of do for a key leads and runs the computation, and callers
 // arriving while it runs wait for the leader's result instead of
-// computing it again. The cache puts every memory miss — crafted
-// batches, victim predictions, compiled victims — behind one, so
-// overlapping jobs compute each distinct artifact once. The zero value
-// is ready to use.
+// computing it again. Every memo puts its misses behind one. The zero
+// value is ready to use.
 type flights[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*flight[V]

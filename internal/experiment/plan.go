@@ -1,9 +1,6 @@
 package experiment
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -13,15 +10,6 @@ import (
 // appends to the suite: PGD over the expectation of the randomized
 // ensemble, under the Linf norm (attack.NewEOT's name for it).
 const EOTGridName = "EOT-PGD-linf"
-
-// CellID is the stable, content-derived identity of one plan cell. It
-// hashes the spec's protocol fields (the same Workers/Batch-zeroed
-// encoding the service hashes into job IDs) together with the cell's
-// grid name and quantised budget (core.EpsKey — the crafting cache's
-// own eps identity), so two specs that would craft identical batches
-// assign their shared cells identical IDs, while execution knobs that
-// cannot change the numbers don't perturb them.
-type CellID string
 
 // PlanCell is one schedulable unit of a compiled plan: craft the
 // (attack, eps) batch once, then evaluate it on every victim. Index is
@@ -34,7 +22,6 @@ type PlanCell struct {
 	EpsIdx int // index into Spec.Eps
 	Attack string
 	Eps    float64
-	ID     CellID
 }
 
 // Plan is a Spec compiled into its deterministic cell DAG: one grid
@@ -77,7 +64,6 @@ func compilePlan(s *Spec) *Plan {
 		Grids: grids,
 		Cells: make([]PlanCell, 0, len(grids)*len(s.Eps)),
 	}
-	fp := s.fingerprint()
 	for gi, name := range grids {
 		for ei, eps := range s.Eps {
 			p.Cells = append(p.Cells, PlanCell{
@@ -86,7 +72,6 @@ func compilePlan(s *Spec) *Plan {
 				EpsIdx: ei,
 				Attack: name,
 				Eps:    eps,
-				ID:     cellID(fp, name, core.EpsKey(eps)),
 			})
 		}
 	}
@@ -101,7 +86,7 @@ func (p *Plan) Spec() *Spec { return p.spec }
 
 // Restrict returns a sub-plan covering exactly the named grids —
 // sharding is grid-granular, so a crafted batch never splits across
-// nodes. Cell indices, IDs, and Total are preserved from the full
+// nodes. Cell indices and Total are preserved from the full
 // plan; only the Grids slice (and each cell's Grid index into it)
 // shrinks. Unknown or duplicate grid names are errors: a shard
 // silently executing the wrong subset would merge into a report with
@@ -152,26 +137,4 @@ func (p *Plan) CellAt(attackName string, eps float64) (PlanCell, bool) {
 		}
 	}
 	return PlanCell{}, false
-}
-
-// fingerprint hashes the spec's protocol content — the encoding with
-// the execution-only Workers/Batch knobs zeroed, the same identity the
-// service derives job IDs from.
-func (s *Spec) fingerprint() string {
-	hashed := *s
-	hashed.Workers, hashed.Batch = 0, 0
-	data, err := json.Marshal(&hashed)
-	if err != nil {
-		// Spec is a plain data struct; Marshal cannot fail on one.
-		panic(fmt.Sprintf("experiment: encoding spec: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8])
-}
-
-// cellID derives a cell's identity from the suite fingerprint, grid
-// name, and quantised budget.
-func cellID(fp, grid string, epsQ int64) CellID {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("cell|%s|%s|%d", fp, grid, epsQ)))
-	return CellID(hex.EncodeToString(sum[:8]))
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 )
 
 // TestPlanCompilesGridMajor pins the compiled plan's shape: one grid
@@ -36,9 +35,6 @@ func TestPlanCompilesGridMajor(t *testing.T) {
 		}
 		if c.Attack != plan.Grids[c.Grid] || c.Eps != spec.Eps[c.EpsIdx] {
 			t.Fatalf("cell %d carries (%s, %g), want (%s, %g)", i, c.Attack, c.Eps, plan.Grids[c.Grid], spec.Eps[c.EpsIdx])
-		}
-		if c.ID == "" {
-			t.Fatalf("cell %d has no ID", i)
 		}
 	}
 	if plan.Spec() != spec {
@@ -88,66 +84,8 @@ func TestPlanEOTGrid(t *testing.T) {
 	}
 }
 
-// TestPlanCellIDStability pins the content-derived identity contract:
-// IDs survive execution-only knobs (Workers/Batch), alias under eps
-// quantisation exactly like the crafting cache, and change whenever
-// the protocol (attack, eps, seed) changes.
-func TestPlanCellIDStability(t *testing.T) {
-	ids := func(s *Spec) []CellID {
-		plan, err := s.Plan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]CellID, len(plan.Cells))
-		for i, c := range plan.Cells {
-			out[i] = c.ID
-		}
-		return out
-	}
-	base := ids(validSpec())
-
-	// Execution knobs don't perturb identity.
-	knobs := validSpec()
-	knobs.Workers, knobs.Batch = 7, 16
-	for i, id := range ids(knobs) {
-		if id != base[i] {
-			t.Fatalf("cell %d changed ID under Workers/Batch: %s vs %s", i, id, base[i])
-		}
-	}
-
-	// The eps component of the identity is the crafting cache's own
-	// quantised key, so budgets that alias under EpsKey alias in the ID.
-	if core.EpsKey(0.1+1e-12) != core.EpsKey(0.1) {
-		t.Fatal("test eps does not alias under EpsKey; pick a smaller delta")
-	}
-	fp := validSpec().fingerprint()
-	if cellID(fp, "FGM-linf", core.EpsKey(0.1+1e-12)) != cellID(fp, "FGM-linf", core.EpsKey(0.1)) {
-		t.Fatal("quantisation-aliased eps produced distinct cell IDs")
-	}
-	if cellID(fp, "FGM-linf", core.EpsKey(0.1)) == cellID(fp, "PGD-linf", core.EpsKey(0.1)) {
-		t.Fatal("distinct grids share a cell ID")
-	}
-
-	// Protocol changes do perturb identity.
-	seeded := validSpec()
-	seeded.Seed = 99
-	for i, id := range ids(seeded) {
-		if id == base[i] {
-			t.Fatalf("cell %d kept its ID across a seed change", i)
-		}
-	}
-	// Within one plan every cell ID is distinct.
-	seen := map[CellID]bool{}
-	for _, id := range base {
-		if seen[id] {
-			t.Fatalf("duplicate cell ID %s within one plan", id)
-		}
-		seen[id] = true
-	}
-}
-
 // TestPlanRestrict: a restricted plan covers exactly the named grids
-// while keeping the full plan's indices, IDs, and Total, so sharded
+// while keeping the full plan's indices and Total, so sharded
 // events and merged reports number cells like a single-node run.
 func TestPlanRestrict(t *testing.T) {
 	spec := validSpec()
@@ -173,10 +111,10 @@ func TestPlanRestrict(t *testing.T) {
 		if got := sub.Grids[c.Grid]; got != c.Attack {
 			t.Fatalf("cell %s points at grid %q after restriction", c.Attack, got)
 		}
-		// The cell keeps its full-plan identity.
+		// The cell keeps its full-plan index.
 		full, ok := plan.CellAt(c.Attack, c.Eps)
-		if !ok || full.Index != c.Index || full.ID != c.ID {
-			t.Fatalf("restricted cell %s@%g lost its full-plan index/ID", c.Attack, c.Eps)
+		if !ok || full.Index != c.Index {
+			t.Fatalf("restricted cell %s@%g lost its full-plan index", c.Attack, c.Eps)
 		}
 	}
 	if sub.Spec() != spec {
