@@ -7,12 +7,12 @@
 //
 //   - The "paired" sub-benchmarks (BenchmarkTiledVsSeed/paired,
 //     BenchmarkLUTVsDirect/paired, and internal/nn's
-//     BenchmarkFloatTiledVsSeed/paired) interleave the optimised and the
-//     reference kernel round by round and report the median per-round
-//     cost ratio as a "paired-rel" metric. Both sides of every ratio
-//     run within milliseconds of each other under the same ambient
-//     load, so the metric is stable even on a busy shared runner;
-//     these synthetic entries are gated by default.
+//     BenchmarkFloatTiledVsSeed/paired and /alexnet-paired) interleave
+//     the optimised and the reference kernel round by round and report
+//     the median per-round cost ratio as a "paired-rel" metric. Both
+//     sides of every ratio run within milliseconds of each other under
+//     the same ambient load, so the metric is stable even on a busy
+//     shared runner; these synthetic entries are gated by default.
 //
 //   - Plain benchmarks are additionally recorded with rel = ns/op
 //     divided by the seed kernel's ns/op from the same invocation

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -268,8 +269,8 @@ func (c *Cache) diskPut(ctx context.Context, dkey string, val []byte) {
 
 // CraftTarget is one crafting target — a source network, a test set
 // and an attack — with its cache identity computed once: the source
-// weights fingerprint, the attack's ConfigKey and, on first use by the
-// disk tier, the test-set fingerprint. A scheduler that asks
+// weights fingerprint, the attack's ConfigKey, the sample shape and, on
+// first use, the test-set fingerprint. A scheduler that asks
 // CraftedCached about every ready cell of a grid, then crafts each,
 // hashes the source once per binding instead of once per call. The
 // identity is a snapshot: a source retrained in place needs a fresh
@@ -280,6 +281,7 @@ type CraftTarget struct {
 	atk    attack.Attack
 	srcFP  uint64
 	atkKey string
+	shape  string
 	setFP  func() uint64
 }
 
@@ -293,8 +295,18 @@ func NewCraftTarget(src *nn.Network, test *dataset.Set, atk attack.Attack) *Craf
 		// steps, MI-FGSM momentum, UAP iterations, restart counts)
 		// must never share cache entries.
 		atkKey: attack.ConfigKey(atk),
+		shape:  sampleShape(test),
 		setFP:  sync.OnceValue(func() uint64 { return setFingerprint(test) }),
 	}
+}
+
+// sampleShape renders the shape of test's samples for the memory-tier
+// key ("" for an empty set).
+func sampleShape(test *dataset.Set) string {
+	if test.Len() == 0 {
+		return ""
+	}
+	return fmt.Sprint(test.X[0].Shape)
 }
 
 // key is the memory-tier identity of the target's batch at one
@@ -302,11 +314,11 @@ func NewCraftTarget(src *nn.Network, test *dataset.Set, atk attack.Attack) *Craf
 // batch.
 func (t *CraftTarget) key(epsQ, seed int64) craftKey {
 	if epsQ == 0 {
-		return craftKey{first: t.test.X[0], n: t.test.Len()}
+		return craftKey{setFP: t.setFP(), shape: t.shape, n: t.test.Len()}
 	}
 	return craftKey{
 		src: t.src, srcFP: t.srcFP,
-		first: t.test.X[0], n: t.test.Len(),
+		setFP: t.setFP(), shape: t.shape, n: t.test.Len(),
 		attack: t.atkKey, epsQ: epsQ, seed: seed,
 	}
 }

@@ -185,15 +185,18 @@ func Robustness(preds, labels []int) float64 {
 	return 100 * float64(correct) / float64(len(labels))
 }
 
-// craftKey identifies one crafted adversarial batch. Sample identity
-// is captured by pointer (the cache is in-memory only and datasets are
-// immutable); source identity is the network pointer plus a weights
-// fingerprint, so retraining a network in place invalidates its
-// entries instead of serving stale adversarial examples.
+// craftKey identifies one crafted adversarial batch. Samples are
+// identified by content: the test-set fingerprint (labels and pixels),
+// the sample shape and the count, so two equal sets loaded separately
+// (each victim model's own copy of one dataset) share their batches.
+// Source identity is the network pointer plus a weights fingerprint,
+// so retraining a network in place invalidates its entries instead of
+// serving stale adversarial examples.
 type craftKey struct {
 	src    *nn.Network
 	srcFP  uint64
-	first  *tensor.T
+	setFP  uint64
+	shape  string
 	n      int
 	attack string
 	// epsQ is the quantised budget (see EpsKey): budgets the Grid API

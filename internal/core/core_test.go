@@ -293,6 +293,54 @@ func TestCraftedCacheKeysAttackConfig(t *testing.T) {
 	}
 }
 
+func TestCraftedCacheKeysSetContent(t *testing.T) {
+	// Two separately loaded test sets with equal content (each victim
+	// model's own copy of one dataset) must share one crafted batch,
+	// the clean eps=0 batch included; a set differing in one label or
+	// one pixel, or in sample shape, must not.
+	f := getFixture(t)
+	clone := func(src *dataset.Set) *dataset.Set {
+		out := &dataset.Set{Name: src.Name, Y: append([]int(nil), src.Y...), Classes: src.Classes}
+		for _, x := range src.X {
+			out.X = append(out.X, x.Clone())
+		}
+		return out
+	}
+	a, b := clone(f.test.Slice(12)), clone(f.test.Slice(12))
+	c := NewCache(CacheConfig{})
+	atk := attack.ByName("FGM-linf")
+	opts := Options{Samples: 12, Seed: 4}
+	for _, eps := range []float64{0, 0.1} {
+		advA, _, err := c.CraftedBatch(context.Background(), NewCraftTarget(f.net, a, atk), eps, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		advB, hit, err := c.CraftedBatch(context.Background(), NewCraftTarget(f.net, b, atk), eps, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit || advA != advB {
+			t.Fatalf("eps=%v: equal-content set re-crafted (hit %v, same batch %v)", eps, hit, advA == advB)
+		}
+	}
+	if st := c.Stats(); st.CraftMisses != 2 || st.CraftHits != 2 {
+		t.Fatalf("stats = %d hits / %d misses, want 2/2 (one craft per budget)", st.CraftHits, st.CraftMisses)
+	}
+
+	key := func(set *dataset.Set) craftKey { return NewCraftTarget(f.net, set, atk).key(EpsKey(0.1), opts.Seed) }
+	label, pixel, shape := clone(a), clone(a), clone(a)
+	label.Y[3] = (label.Y[3] + 1) % label.Classes
+	pixel.X[5].Data[100] += 0.5
+	for i, x := range shape.X {
+		shape.X[i] = x.Reshape(len(x.Data))
+	}
+	for name, set := range map[string]*dataset.Set{"label": label, "pixel": pixel, "shape": shape} {
+		if key(set) == key(a) {
+			t.Errorf("a set differing in one %s shares the craft key", name)
+		}
+	}
+}
+
 func TestCraftedCacheInvalidatedByRetraining(t *testing.T) {
 	// Mutating weights in place must miss the old cache entries — the
 	// keys fingerprint the network, so a fine-tuned model never

@@ -9,13 +9,15 @@ import (
 )
 
 // Conv2D is a 2-D convolution (cross-correlation) layer over [C,H,W]
-// samples or [N,C,H,W] batches, implemented with im2col and
-// register-tiled GEMMs (gemm.go). The forward pass unrolls the whole
+// samples or [N,C,H,W] batches, implemented with im2col and GEMMs. On
+// AVX2 hosts both products run on the assembly lane kernel
+// (gemm_lanes.go) over tap-major columns; elsewhere on the
+// register-tiled Go GEMM (gemm.go): the forward pass unrolls the whole
 // batch into pixel-major patches ([N*P][InC*K*K], one contiguous patch
 // per output pixel) and multiplies them by W in output-channel x pixel
-// tiles whose pixel index spans the batch; the backward pass reuses
-// the patches for weight gradients and computes the input gradient as
-// tap x pixel tiles of W^T dy, scattered back by Col2im.
+// tiles whose pixel index spans the batch. Either way the backward pass
+// reuses the columns for weight gradients and computes the input
+// gradient W^T dy, scattered back by Col2im.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 
@@ -60,7 +62,7 @@ func (c *Conv2D) Forward(x *tensor.T, st *State) *tensor.T {
 	p := outH * outW
 	kk := c.InC * c.K * c.K
 	st.x = x
-	cols := grow(&st.cols, n*p*kk)
+	st.taps = useLanes
 
 	var y *tensor.T
 	if len(x.Shape) == 4 {
@@ -68,6 +70,11 @@ func (c *Conv2D) Forward(x *tensor.T, st *State) *tensor.T {
 	} else {
 		y = tensor.New(c.OutC, outH, outW)
 	}
+	if st.taps {
+		c.forwardLanes(x.Data, y.Data, st, n, inH, inW, p, kk)
+		return y
+	}
+	cols := grow(&st.cols, n*p*kk)
 	inStride := c.InC * inH * inW
 	for s := 0; s < n; s++ {
 		im2colPatches(x.Data[s*inStride:(s+1)*inStride], c.InC, inH, inW, c.K, c.Stride, c.Pad, cols[s*p*kk:(s+1)*p*kk])
@@ -88,56 +95,16 @@ func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 	cols := st.cols[:n*p*kk]
 
 	if st.accumGrads {
-		for s := 0; s < n; s++ {
-			patches := cols[s*p*kk : (s+1)*p*kk]
-			dyd := dy.Data[s*c.OutC*p : (s+1)*c.OutC*p]
-			for oc := 0; oc < c.OutC; oc++ {
-				d := dyd[oc*p : (oc+1)*p]
-				gw := c.GW[oc*kk : (oc+1)*kk]
-				for q := range gw {
-					var sum float32
-					for i, v := range d {
-						sum += v * patches[i*kk+q]
-					}
-					gw[q] += sum
-				}
-				var sb float32
-				for _, v := range d {
-					sb += v
-				}
-				c.GB[oc] += sb
-			}
-		}
+		c.weightGrads(dy.Data, cols, st.taps, n, p, kk)
 	}
 
-	// Input gradient: dcols = W^T dy as tap x pixel tiles reducing over
-	// output channels, from W and dy transposed so both operands are
-	// contiguous along that reduction. W is packed on every call, never
-	// cached on the layer: training and fine-tuning rewrite it between
-	// calls. dy is transposed a chunk of whole samples at a time, so its
-	// scratch stays the size of one sample's dy on large outputs while
-	// a batch of 1x1 outputs still shares pixel tiles. The patches are
-	// dead once the weight gradients are in, so dcols ([N][kk][P], the
-	// layout Col2im reads) reuses their buffer.
-	wt := grow(&st.wt, kk*c.OutC)
-	for oc := 0; oc < c.OutC; oc++ {
-		for q, v := range c.W[oc*kk : (oc+1)*kk] {
-			wt[q*c.OutC+oc] = v
-		}
-	}
+	// The columns are dead once the weight gradients are in, so dcols
+	// ([N][kk][P], the layout Col2im reads) reuses their buffer.
 	dcols := cols
-	chunk := min(n, (minChunkPixels+p-1)/p)
-	dyt := grow(&st.dyt, chunk*p*c.OutC)
-	for s0 := 0; s0 < n; s0 += chunk {
-		s1 := min(s0+chunk, n)
-		for s := s0; s < s1; s++ {
-			for oc := 0; oc < c.OutC; oc++ {
-				for i, v := range dy.Data[(s*c.OutC+oc)*p : (s*c.OutC+oc+1)*p] {
-					dyt[((s-s0)*p+i)*c.OutC+oc] = v
-				}
-			}
-		}
-		gemmRowsByPixels(dcols[s0*kk*p:s1*kk*p], wt, kk, dyt, (s1-s0)*p, c.OutC, p, nil)
+	if st.taps {
+		c.inputGradLanes(dy.Data, dcols, st, n, p, kk)
+	} else {
+		c.inputGradTiles(dy.Data, dcols, st, n, p, kk)
 	}
 
 	var dx *tensor.T
@@ -151,6 +118,66 @@ func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 		Col2im(dcols[s*kk*p:(s+1)*kk*p], c.InC, inH, inW, c.K, c.Stride, c.Pad, dx.Data[s*inStride:(s+1)*inStride])
 	}
 	return dx
+}
+
+// weightGrads accumulates the weight and bias gradients from dy and
+// the columns Forward left: tap-major (taps, the lane kernel's layout)
+// or pixel-major patches (the Go tile's). Each weight's sum over a
+// sample's pixels runs in ascending pixel order, then adds into GW.
+func (c *Conv2D) weightGrads(dy, cols []float32, taps bool, n, p, kk int) {
+	for s := 0; s < n; s++ {
+		patches := cols[s*p*kk : (s+1)*p*kk]
+		dyd := dy[s*c.OutC*p : (s+1)*c.OutC*p]
+		for oc := 0; oc < c.OutC; oc++ {
+			d := dyd[oc*p : (oc+1)*p]
+			gw := c.GW[oc*kk : (oc+1)*kk]
+			for q := range gw {
+				var sum float32
+				if taps {
+					sum = dot1x1(d, cols[q*n*p+s*p:q*n*p+(s+1)*p])
+				} else {
+					for i, v := range d {
+						sum += v * patches[i*kk+q]
+					}
+				}
+				gw[q] += sum
+			}
+			var sb float32
+			for _, v := range d {
+				sb += v
+			}
+			c.GB[oc] += sb
+		}
+	}
+}
+
+// inputGradTiles writes dcols = W^T dy on the Go tile: tap x pixel
+// tiles reducing over output channels, from W and dy transposed so both
+// operands are contiguous along that reduction. W is packed on every
+// call, never cached on the layer: training and fine-tuning rewrite it
+// between calls. dy is transposed a chunk of whole samples at a time,
+// so its scratch stays the size of one sample's dy on large outputs
+// while a batch of 1x1 outputs still shares pixel tiles.
+func (c *Conv2D) inputGradTiles(dy, dcols []float32, st *State, n, p, kk int) {
+	wt := grow(&st.wt, kk*c.OutC)
+	for oc := 0; oc < c.OutC; oc++ {
+		for q, v := range c.W[oc*kk : (oc+1)*kk] {
+			wt[q*c.OutC+oc] = v
+		}
+	}
+	chunk := min(n, (minChunkPixels+p-1)/p)
+	dyt := grow(&st.dyt, chunk*p*c.OutC)
+	for s0 := 0; s0 < n; s0 += chunk {
+		s1 := min(s0+chunk, n)
+		for s := s0; s < s1; s++ {
+			for oc := 0; oc < c.OutC; oc++ {
+				for i, v := range dy[(s*c.OutC+oc)*p : (s*c.OutC+oc+1)*p] {
+					dyt[((s-s0)*p+i)*c.OutC+oc] = v
+				}
+			}
+		}
+		gemmRowsByPixels(dcols[s0*kk*p:s1*kk*p], wt, kk, dyt, (s1-s0)*p, c.OutC, p, nil)
+	}
 }
 
 // minChunkPixels is the fewest output pixels Backward transposes dy

@@ -32,3 +32,11 @@ func RefNetwork(n *Network) *Network {
 // TrainingState returns a State whose Backward accumulates weight
 // gradients, as Network.AccumGrad prepares it.
 func TrainingState() *State { return &State{accumGrads: true} }
+
+// ForceGoTile switches Conv2D to the Go tile and returns a func that
+// restores the previous choice.
+func ForceGoTile() (restore func()) {
+	prev := useLanes
+	useLanes = false
+	return func() { useLanes = prev }
+}

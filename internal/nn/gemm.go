@@ -1,8 +1,9 @@
 package nn
 
-// Register-tiled GEMM for the conv layers. Both conv products are
-// "row times pixel" dot-product blocks over operands whose reduction
-// axis is contiguous:
+// Register-tiled Go GEMM for the conv layers: the portable path, which
+// Conv2D runs where the AVX2 lane kernel (gemm_lanes.go) is
+// unavailable. Both conv products are "row times pixel" dot-product
+// blocks over operands whose reduction axis is contiguous:
 //
 //   - forward: y[s][oc][i] = W[oc] · patch[s*P+i] + B[oc], with the
 //     pixel-major patches of im2colPatches (reduction over taps);

@@ -28,9 +28,11 @@ type State struct {
 	accumGrads bool
 
 	x     *tensor.T // layer input (conv, dense, pool)
-	cols  []float32 // conv pixel-major patches for the whole batch; input-gradient columns in Backward
-	wt    []float32 // conv backward: W transposed to [InC*K*K][OutC]
-	dyt   []float32 // conv backward: dy transposed to [pixels][OutC], one chunk of samples
+	cols  []float32 // conv patches for the whole batch (pixel-major, or tap-major if taps); input-gradient columns in Backward
+	taps  bool      // conv Forward ran the lane kernel (gemm_lanes.go): cols is tap-major
+	wt    []float32 // conv backward, Go tile: W transposed to [InC*K*K][OutC]
+	dyt   []float32 // conv backward: dy transposed to [pixels][OutC] (Go tile, one chunk of samples) or spanned to [OutC][pixels] (lane kernel)
+	span  []float32 // conv, lane kernel: output rows spanning the batch, before the scatter to [N][rows][P]
 	mask  []bool    // relu activation mask
 	shape []int     // flatten input shape
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/nn"
 )
 
 // TestMetricsExpositionWellFormed scrapes a populated /metrics and
@@ -87,6 +89,9 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 	if !strings.Contains(text, `axserve_build_info{goversion="go`) {
 		t.Fatalf("build info lacks a goversion label:\n%s", text)
+	}
+	if !strings.Contains(text, `,float_gemm="`+nn.FloatGEMM()+`"} 1`) {
+		t.Fatalf("build info lacks the float_gemm label %q:\n%s", nn.FloatGEMM(), text)
 	}
 }
 
