@@ -44,10 +44,12 @@ func (l *LUT) Table() []uint16 { return l.table }
 // built on first use and cached on the LUT — so registry users
 // (Lookup caches LUT instances process-wide) pay the 64 KB transpose
 // once per design. TableT()[b<<8|a] == Table()[a<<8|b] exactly.
-// Callers must not modify it.
+// Its capacity holds one more (zero) entry: gather kernels read each
+// product as a 4-byte word at its 2-byte offset, and the last entry's
+// word ends in that spare one. Callers must not modify it.
 func (l *LUT) TableT() []uint16 {
 	l.tOnce.Do(func() {
-		t := make([]uint16, 1<<16)
+		t := make([]uint16, 1<<16, 1<<16+1)
 		for a := 0; a < 256; a++ {
 			row := l.table[a<<8 : a<<8+256]
 			for b, v := range row {

@@ -20,9 +20,12 @@
 // weight code reads one contiguous 256-entry row of the transposed
 // multiplier table, output channels are register-blocked, the pixel
 // dimension is tiled to L1-sized chunks, and all scratch comes from a
-// pooled per-Network workspace arena (see workspace.go). The pre-PR
-// naive kernel is retained behind WithReferenceKernel for bit-for-bit
-// parity tests and the BenchmarkTiledVsSeed regression gate.
+// pooled per-Network workspace arena (see workspace.go). On amd64
+// hosts with AVX2 the conv stages run on an AVX2 gather kernel instead
+// (lut_gather.go), and every conv epilogue requantizes through
+// integer-exact tables (requant.go). The pre-PR naive kernel is
+// retained behind WithReferenceKernel for bit-for-bit parity tests and
+// the BenchmarkTiledVsSeed regression gate.
 //
 // Networks produced by Compile are immutable after SetMultiplier and
 // safe for concurrent Logits calls.
@@ -193,6 +196,9 @@ func Compile(n *nn.Network, calib []*tensor.T, opts Options) (*Network, error) {
 		}
 		inQP = outQP
 	}
+	if !opts.NoZeroPointCorrection {
+		q.buildRequant()
+	}
 	q.pool = newWSPool(q.hint)
 	if opts.Multiplier != nil {
 		q.SetMultiplier(opts.Multiplier)
@@ -346,13 +352,43 @@ func outBuf(net *Network, ws *workspace, n int) []uint8 {
 	return ws.nextAct(n)
 }
 
+// buildRequant gives every conv stage its integer-exact requantizer,
+// folding a directly following ReLU into it where both maps compose.
+func (q *Network) buildRequant() {
+	for i, l := range q.layers {
+		c, ok := l.(*qConv)
+		if !ok {
+			continue
+		}
+		var relu *qReLU
+		if i+1 < len(q.layers) {
+			relu, _ = q.layers[i+1].(*qReLU)
+		}
+		if relu != nil {
+			if c.stairs = c.buildStairs(relu.lut); c.stairs != nil {
+				c.stairsQP = relu.outQP
+				relu.folded = true
+				continue
+			}
+		}
+		c.stairs, c.stairsQP = c.buildStairs(nil), c.outQP
+	}
+}
+
 // qReLU and requantization stages are 256-entry code maps.
 type qReLU struct {
 	lut   []uint8
 	outQP quant.Params
+	// folded marks a ReLU whose code map the conv before it already
+	// applied (buildRequant); the conv's output then passes through,
+	// except on the reference-kernel path.
+	folded bool
 }
 
 func (r *qReLU) forward(net *Network, ws *workspace, in qtensor) (qtensor, []float32) {
+	if r.folded && !net.ref {
+		return in, nil
+	}
 	// Elementwise code map: the batch is one flat pass.
 	out := qtensor{n: in.n, shape: in.shape, data: outBuf(net, ws, len(in.data)), qp: r.outQP}
 	lut := (*[256]uint8)(r.lut)

@@ -228,12 +228,16 @@ func TestZeroPointCorrectionExactness(t *testing.T) {
 	in := qtensor{n: 1, shape: x.Shape, data: q.inQP.QuantizeSlice(x.Data), qp: q.inQP}
 	ws := q.getWS()
 	defer q.putWS(ws)
-	out, _ := qc.forward(q, ws, in)
+	// Check the conv alone: a copy of the stage with its own,
+	// unfolded requantizer, so the code compared is the conv's.
+	conv := *qc
+	conv.stairs, conv.stairsQP = qc.buildStairs(nil), qc.outQP
+	out, _ := conv.forward(q, ws, in)
 
 	// Direct affine computation for output (oc=0, oi=0, oj=0).
 	kk := qc.inC * qc.k * qc.k
 	cols := make([]uint8, kk*((8+2*qc.pad-qc.k)/qc.stride+1)*((8+2*qc.pad-qc.k)/qc.stride+1))
-	im2colCodes(in.data, qc.inC, 8, 8, qc.k, qc.stride, qc.pad, in.qp.Zero, cols)
+	im2colCodes(in.data, qc.inC, 8, 8, qc.k, qc.stride, qc.pad, in.qp.Zero, cols, len(cols)/kk)
 	p := len(cols) / kk
 	var acc int32
 	for qi := 0; qi < kk; qi++ {
@@ -245,5 +249,25 @@ func TestZeroPointCorrectionExactness(t *testing.T) {
 	want := qc.outQP.Quantize(v)
 	if out.data[0] != want {
 		t.Fatalf("zero-point correction mismatch: engine %d, direct %d", out.data[0], want)
+	}
+	if out.qp != qc.outQP {
+		t.Fatalf("unfolded conv labels its codes %+v, want %+v", out.qp, qc.outQP)
+	}
+
+	// The production stage, with the ReLU folded in, writes the ReLU's
+	// codes of that conv output and labels them with its parameters.
+	relu, ok := q.layers[1].(*qReLU)
+	if !ok || !relu.folded {
+		t.Fatalf("layer 1 is %T (folded %v), want a folded *qReLU", q.layers[1], ok && relu.folded)
+	}
+	conv0 := append([]uint8(nil), out.data...)
+	folded, _ := qc.forward(q, ws, in)
+	for i, c := range conv0 {
+		if folded.data[i] != relu.lut[c] {
+			t.Fatalf("folded output %d: %d, want relu(%d) = %d", i, folded.data[i], c, relu.lut[c])
+		}
+	}
+	if folded.qp != relu.outQP {
+		t.Fatalf("folded conv labels its codes %+v, want the ReLU's %+v", folded.qp, relu.outQP)
 	}
 }

@@ -77,6 +77,23 @@ func assertSameLogits(t *testing.T, label string, want, got *tensor.T) {
 // weight-major kernel produces logits bit-identical to the retained
 // reference kernel.
 func TestTiledKernelParityAllMultipliers(t *testing.T) {
+	onEachKernel(t, parityAllMultipliers)
+}
+
+// onEachKernel runs body on the conv kernel this CPU selects (the AVX2
+// gather kernel where the CPU has it) and, on AVX2 hosts, once more
+// with the Go kernels forced ("go").
+func onEachKernel(t *testing.T, body func(t *testing.T)) {
+	body(t)
+	if LUTKernel() == "avx2" {
+		t.Run("go", func(t *testing.T) {
+			defer forceGoKernel()()
+			body(t)
+		})
+	}
+}
+
+func parityAllMultipliers(t *testing.T) {
 	names := axmult.Names()
 	if len(names) < 20 {
 		t.Fatalf("registry unexpectedly small: %d designs", len(names))
@@ -128,6 +145,10 @@ func sparseParityBatch(chans, n int, density float64, seed int64) []*tensor.T {
 // column-matrix fallback builder), and a 1x1-output conv (the dot
 // path), across structurally diverse multipliers.
 func TestTiledKernelParitySparse(t *testing.T) {
+	onEachKernel(t, paritySparse)
+}
+
+func paritySparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
 	nets := parityNets()
 	nets = append(nets, &nn.Network{
@@ -187,7 +208,7 @@ func TestSparseViewBuilders(t *testing.T) {
 			}
 		}
 		cols := make([]uint8, kk*p)
-		im2colCodes(x, g.inC, g.h, g.w, g.k, 1, g.pad, zaCode, cols)
+		im2colCodes(x, g.inC, g.h, g.w, g.k, 1, g.pad, zaCode, cols, p)
 		wantNz := make([]uint32, kk*p)
 		wantOff := make([]int32, kk+1)
 		wantCnt := nzFromCols(cols, p, kk, zaCode, wantNz, wantOff)
@@ -214,6 +235,10 @@ func TestSparseViewBuilders(t *testing.T) {
 // (activation-stationary LUT dense) path against the reference dense
 // kernel for a sample of structurally diverse designs.
 func TestTiledKernelParityApproxDense(t *testing.T) {
+	onEachKernel(t, parityApproxDense)
+}
+
+func parityApproxDense(t *testing.T) {
 	net := parityNets()[0]
 	q, err := Compile(net, parityBatch(1, 12, 300), Options{ApproxDense: true})
 	if err != nil {
@@ -230,6 +255,10 @@ func TestTiledKernelParityApproxDense(t *testing.T) {
 
 // TestTiledKernelParityNoZeroPoint covers the ablation epilogue.
 func TestTiledKernelParityNoZeroPoint(t *testing.T) {
+	onEachKernel(t, parityNoZeroPoint)
+}
+
+func parityNoZeroPoint(t *testing.T) {
 	net := parityNets()[0]
 	q, err := Compile(net, parityBatch(1, 12, 310), Options{NoZeroPointCorrection: true})
 	if err != nil {

@@ -42,6 +42,13 @@ type qConv struct {
 	inQP   quant.Params
 	outQP  quant.Params
 	bias   []float32
+	// stairs is the integer-exact requantizer (requant.go), one table
+	// per output channel, composed with the following ReLU's code map
+	// when that stage is folded in; nil keeps quant.Params.Quantize in
+	// the epilogue. stairsQP labels the codes it writes: outQP, or the
+	// folded ReLU's output parameters.
+	stairs   []stairs
+	stairsQP quant.Params
 }
 
 const (
@@ -90,16 +97,23 @@ func (c *qConv) forward(net *Network, ws *workspace, in qtensor) (qtensor, []flo
 	kk := c.inC * c.k * c.k
 	inVol := c.inC * h * w
 
+	lutT := net.mulT
+	out := qtensor{n: in.n, shape: []int{c.outC, outH, outW}, data: ws.nextAct(in.n * c.outC * p), qp: c.outQP}
+	if c.stairs != nil {
+		out.qp = c.stairsQP
+	}
+	if gatherReady(lutT, in.n, p) {
+		c.forwardGather(net, ws, in, out, h, w, outH, outW)
+		return out, nil
+	}
+
 	cols := u8(&ws.cols, kk*p)
 	aSum := i32(&ws.aSum, p)
 	nz := u32(&ws.nz, kk*p)
 	nzOff := i32(&ws.nzOff, kk+1)
 	tile := min(convTile, p)
-
-	lutT := net.mulT
 	zaCode := in.qp.Zero
 
-	out := qtensor{n: in.n, shape: []int{c.outC, outH, outW}, data: ws.nextAct(in.n * c.outC * p), qp: c.outQP}
 	for s := 0; s < in.n; s++ {
 		x := in.data[s*inVol : (s+1)*inVol]
 		// Route the sample on the raw activation plane: the fraction of
@@ -119,7 +133,7 @@ func (c *qConv) forward(net *Network, ws *workspace, in qtensor) (qtensor, []flo
 			// im2col in the code domain; padding contributes the
 			// zero-point code (real value 0), as in the hardware
 			// dataflow.
-			im2colCodes(x, c.inC, h, w, c.k, c.stride, c.pad, zaCode, cols)
+			im2colCodes(x, c.inC, h, w, c.k, c.stride, c.pad, zaCode, cols, p)
 			var colSum int32
 			for _, a := range cols[:kk] {
 				colSum += int32(a)
@@ -151,7 +165,7 @@ func (c *qConv) forward(net *Network, ws *workspace, in qtensor) (qtensor, []flo
 				default:
 					acc[0] = dot1(lutT, col, c.wCodes[oc0*kk:(oc0+1)*kk])
 				}
-				c.epilogue(net, acc, aSum, sOut, oc0, nb, 0, 1, 1)
+				c.epilogue(net, acc, 1, aSum, sOut, oc0, nb, 0, 1, 1)
 			}
 			continue
 		}
@@ -166,7 +180,7 @@ func (c *qConv) forward(net *Network, ws *workspace, in qtensor) (qtensor, []flo
 				// smaller) input plane directly.
 				cnt = nzFromInput(x, c.inC, h, w, c.k, c.pad, outH, outW, zaCode, nz, nzOff[:kk+1])
 			} else {
-				im2colCodes(x, c.inC, h, w, c.k, c.stride, c.pad, zaCode, cols)
+				im2colCodes(x, c.inC, h, w, c.k, c.stride, c.pad, zaCode, cols, p)
 				cnt = nzFromCols(cols, p, kk, zaCode, nz, nzOff[:kk+1])
 			}
 			// Reconstruct the per-pixel code sums from the sparse view:
@@ -208,14 +222,14 @@ func (c *qConv) forward(net *Network, ws *workspace, in qtensor) (qtensor, []flo
 					sparseBlock1(lutT, nz, nzOff, kk, zaCode,
 						c.wCodes[oc0*kk:(oc0+1)*kk], acc[0:p])
 				}
-				c.epilogue(net, acc, aSum, sOut, oc0, nb, 0, p, p)
+				c.epilogue(net, acc, p, aSum, sOut, oc0, nb, 0, p, p)
 			}
 			continue
 		}
 
 		// Dense sample: materialise the column matrix and take per-pixel
 		// code sums in one sequential pass each.
-		im2colCodes(x, c.inC, h, w, c.k, c.stride, c.pad, zaCode, cols)
+		im2colCodes(x, c.inC, h, w, c.k, c.stride, c.pad, zaCode, cols, p)
 		clear(aSum)
 		for q := 0; q < kk; q++ {
 			col := cols[q*p : (q+1)*p]
@@ -257,7 +271,7 @@ func (c *qConv) forward(net *Network, ws *workspace, in qtensor) (qtensor, []flo
 					accBlock1(lutT, pack, cols, p, pt, pe, kk,
 						c.wCodes[oc0*kk:(oc0+1)*kk], acc[0:tw])
 				}
-				c.epilogue(net, acc, aSum, sOut, oc0, nb, pt, pe, p)
+				c.epilogue(net, acc, tw, aSum, sOut, oc0, nb, pt, pe, p)
 			}
 		}
 	}
@@ -276,15 +290,16 @@ const (
 	sparseDen = 20
 )
 
-// epilogue requantizes one register block of accumulator rows into the
-// output tensor; the arithmetic is exactly the reference kernel's.
-func (c *qConv) epilogue(net *Network, acc, aSum []int32, sOut []uint8, oc0, nb, pt, pe, p int) {
+// epilogue requantizes one register block of accumulator rows (row j
+// at acc[j*ldAcc:]) into the output tensor; the arithmetic is exactly
+// the reference kernel's, or its integer-exact staircase (requant.go).
+func (c *qConv) epilogue(net *Network, acc []int32, ldAcc int, aSum []int32, sOut []uint8, oc0, nb, pt, pe, p int) {
 	kk := c.inC * c.k * c.k
 	tw := pe - pt
 	za := int32(c.inQP.Zero)
 	for j := 0; j < nb; j++ {
 		oc := oc0 + j
-		accj := acc[j*tw : (j+1)*tw]
+		accj := acc[j*ldAcc : j*ldAcc+tw]
 		zw := int32(c.wQP[oc].Zero)
 		scale := c.inQP.Scale * c.wQP[oc].Scale
 		fixed := int32(kk)*za*zw - za*c.wSum[oc]
@@ -298,6 +313,14 @@ func (c *qConv) epilogue(net *Network, acc, aSum []int32, sOut []uint8, oc0, nb,
 			continue
 		}
 		sumT := aSum[pt:pe]
+		if c.stairs != nil {
+			st := &c.stairs[oc]
+			dst, sumT = dst[:len(accj)], sumT[:len(accj)]
+			for i, a := range accj {
+				dst[i] = st.at(a - zw*sumT[i] + fixed)
+			}
+			continue
+		}
 		for i := range accj {
 			v := float32(accj[i]-zw*sumT[i]+fixed)*scale + bias
 			dst[i] = c.outQP.Quantize(v)
@@ -660,16 +683,32 @@ func nzFromCols(cols []uint8, p, kk int, zaCode uint8, nz []uint32, nzOff []int3
 }
 
 // im2colCodes is Im2col over uint8 codes with a configurable padding
-// code (the activation zero-point).
-func im2colCodes(x []uint8, inC, h, w, k, stride, pad int, padCode uint8, cols []uint8) {
+// code (the activation zero-point) and a column stride: tap q of
+// output pixel i lands at cols[q*ld+i]. ld = p packs one sample; the
+// gather kernel lays a group of samples side by side with one call per
+// sample at cols[s*p:] and ld = group lanes.
+func im2colCodes(x []uint8, inC, h, w, k, stride, pad int, padCode uint8, cols []uint8, ld int) {
 	outH := (h+2*pad-k)/stride + 1
 	outW := (w+2*pad-k)/stride + 1
-	p := outH * outW
+	if outH == 1 && outW == 1 && pad == 0 {
+		// One output pixel (LeNet-5's conv3): tap (ci, ki, kj) reads
+		// input (ci, ki, kj) and each tap row holds one code.
+		q := 0
+		for ci := 0; ci < inC; ci++ {
+			for ki := 0; ki < k; ki++ {
+				for _, a := range x[(ci*h+ki)*w : (ci*h+ki)*w+k] {
+					cols[q*ld] = a
+					q++
+				}
+			}
+		}
+		return
+	}
 	for ci := 0; ci < inC; ci++ {
 		base := ci * h * w
 		for ki := 0; ki < k; ki++ {
 			for kj := 0; kj < k; kj++ {
-				row := ((ci*k+ki)*k + kj) * p
+				row := ((ci*k+ki)*k + kj) * ld
 				idx := 0
 				for oi := 0; oi < outH; oi++ {
 					ii := oi*stride + ki - pad
@@ -684,31 +723,42 @@ func im2colCodes(x []uint8, inC, h, w, k, stride, pad int, padCode uint8, cols [
 					rowBase := base + ii*w
 					if stride == 1 {
 						// Unit stride reads a contiguous input run: pad the
-						// out-of-image edges in bulk, memcpy the interior.
-						j0 := max(0, pad-kj)
-						j1 := min(outW, w+pad-kj)
+						// out-of-image edges in bulk, copy the interior.
+						// Runs are 1 to 28 codes on the paper's models;
+						// short ones copy faster element by element than
+						// through a copy call.
+						j0 := min(max(0, pad-kj), outW)
+						j1 := max(min(outW, w+pad-kj), j0)
 						dst := cols[row+idx : row+idx+outW]
-						for oj := 0; oj < j0; oj++ {
-							dst[oj] = padCode
+						run := dst[j0:j1]
+						src := x[rowBase+j0+kj-pad:][:len(run)]
+						if len(run) >= 16 {
+							copy(run, src)
+						} else {
+							for t, v := range src {
+								run[t] = v
+							}
 						}
-						if j1 > j0 {
-							copy(dst[j0:j1], x[rowBase+j0+kj-pad:])
+						pre, post := dst[:j0], dst[j1:]
+						for oj := range pre {
+							pre[oj] = padCode
 						}
-						for oj := j1; oj < outW; oj++ {
-							dst[oj] = padCode
+						for oj := range post {
+							post[oj] = padCode
 						}
 						idx += outW
 						continue
 					}
-					for oj := 0; oj < outW; oj++ {
+					dst := cols[row+idx : row+idx+outW]
+					for oj := range dst {
 						jj := oj*stride + kj - pad
 						if jj < 0 || jj >= w {
-							cols[row+idx] = padCode
+							dst[oj] = padCode
 						} else {
-							cols[row+idx] = x[rowBase+jj]
+							dst[oj] = x[rowBase+jj]
 						}
-						idx++
 					}
+					idx += outW
 				}
 			}
 		}

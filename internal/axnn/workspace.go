@@ -46,16 +46,22 @@ type wsHint struct {
 }
 
 func newWorkspace(h wsHint) *workspace {
-	return &workspace{
-		cols:  make([]uint8, h.cols),
-		aSum:  make([]int32, h.p),
-		acc:   make([]int32, h.acc),
-		vals:  make([]float32, h.dense),
-		nz:    make([]uint32, h.cols),
-		nzOff: make([]int32, h.kk+1),
-		pack:  make([]uint64, convBlock*(convTile/2)),
-		act:   [2][]uint8{make([]uint8, h.vol), make([]uint8, h.vol)},
+	w := &workspace{
+		cols: make([]uint8, h.cols+gatherPad),
+		aSum: make([]int32, h.p),
+		acc:  make([]int32, h.acc),
+		vals: make([]float32, h.dense),
+		act:  [2][]uint8{make([]uint8, h.vol), make([]uint8, h.vol)},
 	}
+	if !useGather {
+		// The Go kernels' sparse view and packed accumulators; the
+		// gather kernel needs neither (they grow on demand if a Go
+		// kernel runs anyway).
+		w.nz = make([]uint32, h.cols)
+		w.nzOff = make([]int32, h.kk+1)
+		w.pack = make([]uint64, convBlock*(convTile/2))
+	}
+	return w
 }
 
 // nextAct flips to the other activation buffer and returns it sized to

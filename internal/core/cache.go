@@ -80,6 +80,11 @@ type Cache struct {
 	craftFlights   memo[craftKey, *tensor.T]
 	predFlights    memo[predKey, []int]
 	compileFlights memo[string, *axnn.Network]
+	// batchIDs holds each scored batch's content identity by pointer,
+	// so a batch that many victims score is hashed once. It is bounded
+	// like the prediction memo and dropped with the crafted batches,
+	// so it never keeps an evicted batch alive.
+	batchIDs memo[*tensor.T, batchID]
 	// disk is the optional persistent tier (CacheConfig.Disk): probed
 	// on memory misses, written through on computes. Store failures
 	// degrade to recomputes, never to errors on the evaluation path.
@@ -213,7 +218,9 @@ func NewCache(cfg CacheConfig) *Cache {
 			c.predFlights.evictions.Add(1)
 		}
 		c.predFlights.clear()
+		c.batchIDs.clear()
 	}
+	c.batchIDs.limit = c.predFlights.limit
 	c.compileFlights.limit = maxCompiled
 	return c
 }
@@ -226,6 +233,7 @@ func (c *Cache) Clear() {
 	c.craftFlights.clear()
 	c.predFlights.clear()
 	c.compileFlights.clear()
+	c.batchIDs.clear()
 }
 
 // CraftedLen reports the number of memoised (attack, eps, seed)
@@ -434,7 +442,11 @@ func (c *Cache) CraftedCached(t *CraftTarget, eps float64, opts Options) bool {
 // batch). hit, coalescing and cancellation behave as in CraftedBatch
 // (coalesced calls count in CacheStats.PredCoalesced).
 func (c *Cache) Predictions(ctx context.Context, m attack.Model, adv *tensor.T, opts Options) (preds []int, hit bool, err error) {
-	key := predKey{batch: adv}
+	id, _, err := c.batchIDs.get(ctx, adv, func() (batchID, bool, error) { return newBatchID(adv), false, nil })
+	if err != nil {
+		return nil, false, err
+	}
+	key := predKey{batch: id}
 	if mk, ok := m.(ModelKeyer); ok {
 		key.key = mk.ModelKey()
 	} else {
@@ -444,20 +456,20 @@ func (c *Cache) Predictions(ctx context.Context, m attack.Model, adv *tensor.T, 
 		}
 	}
 	return c.predFlights.get(ctx, key, func() ([]int, bool, error) {
-		return c.predictMiss(ctx, m, adv, opts)
+		return c.predictMiss(ctx, m, adv, id, opts)
 	})
 }
 
 // predictMiss is the leader's side of a prediction miss: the disk
 // probe, then victim scoring, written through.
-func (c *Cache) predictMiss(ctx context.Context, m attack.Model, adv *tensor.T, opts Options) ([]int, bool, error) {
+func (c *Cache) predictMiss(ctx context.Context, m attack.Model, adv *tensor.T, id batchID, opts Options) ([]int, bool, error) {
 	ctx, span := obs.Start(ctx, "predict")
 	defer func() { predictHist.Observe(span.End()) }()
 	var dkey string
 	if c.disk != nil {
 		// Models without a stable content identity (no ModelKey or
 		// weights fingerprint) stay memory-tier only.
-		if dk, ok := predDiskKey(m, adv); ok {
+		if dk, ok := predDiskKey(m, adv.Rows(), id.fp); ok {
 			dkey = dk
 			if ps, ok := diskProbe(ctx, c, &c.diskPred, dkey, func(val []byte) ([]int, bool) {
 				ps, err := decodePreds(val)

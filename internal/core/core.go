@@ -34,6 +34,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 
@@ -206,8 +207,10 @@ type craftKey struct {
 }
 
 // predKey identifies one victim's predictions over one crafted batch.
-// Models and batches are pointer identities (compiled axnn networks
-// are immutable; batches are cache-retained tensors); mutable models
+// Batches are identified by content (batchID), so two budgets that
+// craft byte-identical batches (FGM-linf at eps 1, 1.5 and 2 all
+// saturate to the same codes) share one prediction. Models are pointer
+// identities (compiled axnn networks are immutable); mutable models
 // that expose a weights fingerprint (float nn networks) additionally
 // carry it, so retraining in place invalidates their memos. Models
 // with a declared config identity (ModelKeyer) are keyed by that
@@ -218,7 +221,19 @@ type predKey struct {
 	model   attack.Model
 	modelFP uint64
 	key     string
-	batch   *tensor.T
+	batch   batchID
+}
+
+// batchID is a batch's content identity: its shape and the
+// fingerprint of its shape and values (batchFingerprint, which the
+// disk tier's prediction keys use too).
+type batchID struct {
+	shape string
+	fp    uint64
+}
+
+func newBatchID(b *tensor.T) batchID {
+	return batchID{shape: fmt.Sprint(b.Shape), fp: batchFingerprint(b)}
 }
 
 // fingerprinter is implemented by mutable models (nn.Network) whose

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -604,5 +606,58 @@ func TestSetAttackObservesCancellation(t *testing.T) {
 	}
 	if c.CraftedLen() != 0 {
 		t.Fatalf("cancelled set crafting memoised %d batches", c.CraftedLen())
+	}
+}
+
+// batchCounter is a victim that counts its LogitsBatch calls.
+type batchCounter struct {
+	m     *axnn.Network
+	calls int
+}
+
+func (b *batchCounter) Logits(x *tensor.T) []float32 { return b.m.Logits(x) }
+
+func (b *batchCounter) LogitsBatch(xs *tensor.T) *tensor.T {
+	b.calls++
+	return b.m.LogitsBatch(xs)
+}
+
+func TestPredictionsKeyBatchContent(t *testing.T) {
+	// Two budgets can craft byte-identical batches (FGM saturates at
+	// large eps): a victim must score equal content once, whatever the
+	// tensor instance, and a batch differing in one value must not hit.
+	f := getFixture(t)
+	victims, err := BuildAxVictims(f.net, f.test, []string{"mul8u_1JFF", "mul8u_JV3"}, axnn.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(CacheConfig{})
+	opts := Options{Seed: 4, Workers: 1, Batch: 16}
+	adv, _, err := c.CraftedBatch(context.Background(), NewCraftTarget(f.net, f.test.Slice(16), attack.ByName("FGM-linf")), 0.1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := adv.Clone()
+	other := adv.Clone()
+	other.Data[7] += 0.25
+	for _, v := range victims {
+		m := &batchCounter{m: v.Factory().(*axnn.Network)}
+		want, hit, err := c.Predictions(context.Background(), m, adv, opts)
+		if err != nil || hit {
+			t.Fatalf("%s: first scoring hit=%v err=%v", v.Name, hit, err)
+		}
+		got, hit, err := c.Predictions(context.Background(), m, same, opts)
+		if err != nil || !hit || !slices.Equal(got, want) {
+			t.Fatalf("%s: equal-content batch hit=%v err=%v", v.Name, hit, err)
+		}
+		if m.calls != 1 {
+			t.Fatalf("%s: %d LogitsBatch calls for two equal batches, want 1", v.Name, m.calls)
+		}
+		if _, hit, err := c.Predictions(context.Background(), m, other, opts); err != nil || hit || m.calls != 2 {
+			t.Fatalf("%s: a batch differing in one value hit=%v calls=%d err=%v", v.Name, hit, m.calls, err)
+		}
+	}
+	if newBatchID(adv) == newBatchID(adv.Reshape(16, 784)) {
+		t.Fatal("a reshaped batch shares the content identity")
 	}
 }

@@ -151,7 +151,7 @@ func craftDiskKey(t *CraftTarget, epsQ, seed int64) string {
 // predDiskKey is the stable identity of one victim's predictions over
 // one crafted batch, or ok=false when the model has no stable identity
 // to key by (then the prediction stays memory-tier only).
-func predDiskKey(m attack.Model, adv *tensor.T) (string, bool) {
+func predDiskKey(m attack.Model, rows int, batchFP uint64) (string, bool) {
 	var id string
 	switch mm := m.(type) {
 	case ModelKeyer:
@@ -161,5 +161,5 @@ func predDiskKey(m attack.Model, adv *tensor.T) (string, bool) {
 	default:
 		return "", false
 	}
-	return fmt.Sprintf("pred/v1|model=%s|batch=%d:%016x", id, adv.Rows(), batchFingerprint(adv)), true
+	return fmt.Sprintf("pred/v1|model=%s|batch=%d:%016x", id, rows, batchFP), true
 }

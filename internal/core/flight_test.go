@@ -145,7 +145,7 @@ func TestPredictionsCoalesceConcurrentMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := predKey{model: m, batch: adv}
+	key := predKey{model: m, batch: newBatchID(adv)}
 	preds := make([][]int, callers)
 	hits := make([]bool, callers)
 	errs := make([]error, callers)

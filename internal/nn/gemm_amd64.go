@@ -6,7 +6,3 @@ package nn
 //
 //go:noescape
 func gemm4AVX2(c *float32, ldc int, a *float32, aRow, aStep int, b *float32, ldb int, bias *float32, k, n int)
-
-// cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves its
-// YMM state (CPUID and XGETBV, in gemm_amd64.s).
-func cpuHasAVX2() bool

@@ -1,5 +1,7 @@
 package nn
 
+import "repro/internal/cpufeat"
+
 // Lane GEMM for the conv layers on AVX2 hosts. Where gemm.go reduces
 // each output in a scalar register of a 3x2 tile, the lane kernel puts
 // eight independent outputs side by side in one YMM register: lanes
@@ -23,7 +25,7 @@ package nn
 
 // useLanes selects the lane kernel for Conv2D. It is set once, from the
 // CPU's features; only tests switch it (export_test.go).
-var useLanes = cpuHasAVX2()
+var useLanes = cpufeat.AVX2
 
 // FloatGEMM names the conv GEMM this process runs: "avx2" for the lane
 // kernel, "go" for the portable tile.

@@ -256,10 +256,13 @@ func BenchmarkFloatTiledVsSeed(b *testing.B) {
 			net.LossGradBatch(batch, labels)
 		}
 	})
+	// One tiled LossGradBatch takes ~2 ms, close to scheduler noise on
+	// a shared runner: a round runs five, so its tiled side takes
+	// ~10 ms or more.
 	b.Run("paired", func(b *testing.B) {
 		pairedRel(b, 1,
-			func() { ref.LossGradBatch(batch, labels) },
-			func() { net.LossGradBatch(batch, labels) })
+			repeat(5, func() { ref.LossGradBatch(batch, labels) }),
+			repeat(5, func() { net.LossGradBatch(batch, labels) }))
 	})
 	// An AlexNet round takes ~0.1 s on the seed side, so a short
 	// -benchtime runs only a few: take at least 9 for the median.
@@ -270,6 +273,15 @@ func BenchmarkFloatTiledVsSeed(b *testing.B) {
 			func() { alexRef.LossGradBatch(alexBatch, alexLabels) },
 			func() { alex.LossGradBatch(alexBatch, alexLabels) })
 	})
+}
+
+// repeat returns a func that calls f n times.
+func repeat(n int, f func()) func() {
+	return func() {
+		for range n {
+			f()
+		}
+	}
 }
 
 // benchNet returns net with a batch of n inputs of the given sample

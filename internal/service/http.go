@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"repro/internal/axnn"
 	"repro/internal/experiment"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -346,10 +347,11 @@ func writeMetrics(w http.ResponseWriter, m *Manager) {
 }
 
 // writeBuildInfo emits the axserve_build_info gauge: a constant-1
-// metric whose labels carry the Go toolchain, the VCS revision and the
+// metric whose labels carry the Go toolchain, the VCS revision, the
 // float conv GEMM the process runs (float_gemm: "avx2" or "go", see
-// nn.FloatGEMM), so deployed-version and kernel-path skew across
-// shard peers is visible by comparing scrapes.
+// nn.FloatGEMM) and its AxDNN conv LUT kernel (axnn_lut: "avx2" or
+// "go", see axnn.LUTKernel), so deployed-version and kernel-path skew
+// across shard peers is visible by comparing scrapes.
 func writeBuildInfo(w io.Writer) {
 	goversion, revision := "unknown", "unknown"
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -363,6 +365,6 @@ func writeBuildInfo(w io.Writer) {
 		}
 	}
 	fmt.Fprintf(w, "# HELP axserve_build_info Build metadata; the value is always 1.\n# TYPE axserve_build_info gauge\n")
-	fmt.Fprintf(w, "axserve_build_info{goversion=\"%s\",revision=\"%s\",float_gemm=\"%s\"} 1\n",
-		obs.EscapeLabel(goversion), obs.EscapeLabel(revision), obs.EscapeLabel(nn.FloatGEMM()))
+	fmt.Fprintf(w, "axserve_build_info{goversion=\"%s\",revision=\"%s\",float_gemm=\"%s\",axnn_lut=\"%s\"} 1\n",
+		obs.EscapeLabel(goversion), obs.EscapeLabel(revision), obs.EscapeLabel(nn.FloatGEMM()), obs.EscapeLabel(axnn.LUTKernel()))
 }

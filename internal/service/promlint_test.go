@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/axnn"
 	"repro/internal/nn"
 )
 
@@ -90,8 +91,8 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	if !strings.Contains(text, `axserve_build_info{goversion="go`) {
 		t.Fatalf("build info lacks a goversion label:\n%s", text)
 	}
-	if !strings.Contains(text, `,float_gemm="`+nn.FloatGEMM()+`"} 1`) {
-		t.Fatalf("build info lacks the float_gemm label %q:\n%s", nn.FloatGEMM(), text)
+	if !strings.Contains(text, `,float_gemm="`+nn.FloatGEMM()+`",axnn_lut="`+axnn.LUTKernel()+`"} 1`) {
+		t.Fatalf("build info lacks the float_gemm label %q or the axnn_lut label %q:\n%s", nn.FloatGEMM(), axnn.LUTKernel(), text)
 	}
 }
 
