@@ -143,9 +143,9 @@ func Compile(n *nn.Network, calib []*tensor.T, opts Options) (*Network, error) {
 		noZP:        opts.NoZeroPointCorrection,
 	}
 	// Shape walk alongside layer compilation: the workspace hint
-	// records the largest im2col, accumulator, and activation
-	// footprints any layer needs for one sample, so pooled arenas are
-	// right-sized from their first checkout.
+	// records the largest im2col and accumulator footprints of a full
+	// column group and the largest per-sample activation footprint, so
+	// pooled arenas are right-sized from their first checkout.
 	shape := append([]int(nil), calib[0].Shape...)
 	q.hint.vol = volOf(shape)
 	inQP := q.inQP
@@ -160,12 +160,10 @@ func Compile(n *nn.Network, calib []*tensor.T, opts Options) (*Network, error) {
 			outW := (w+2*t.Pad-t.K)/t.Stride + 1
 			p := outH * outW
 			kk := t.InC * t.K * t.K
-			q.hint.cols = max(q.hint.cols, kk*p)
-			q.hint.p = max(q.hint.p, p)
-			// The sparse skip-zero kernel accumulates whole pixel rows
-			// plus an equally sized pixel-interleaved quad scratch.
-			q.hint.acc = max(q.hint.acc, 2*convBlock*p)
-			q.hint.kk = max(q.hint.kk, kk)
+			ld := groupLanes(p)
+			q.hint.cols = max(q.hint.cols, kk*ld)
+			q.hint.lanes = max(q.hint.lanes, ld)
+			q.hint.acc = max(q.hint.acc, convBlock*ld)
 			shape = []int{t.OutC, outH, outW}
 		case *nn.Dense:
 			q.layers = append(q.layers, newQDense(t, inQP, outQP, bits, last, opts.ApproxDense))

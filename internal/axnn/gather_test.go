@@ -3,25 +3,30 @@ package axnn
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/axmult"
+	"repro/internal/modelzoo"
 	"repro/internal/nn"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
-// TestGatherKernel pins the AVX2 gather kernel and its column sums to
-// a scalar walk of the same sums, for every registered multiplier: lane
-// counts 1..40 (every tail length, with and without full blocks), tap
-// counts 1, 3 and 25, blocks of two and four channels, the
-// single-channel mode (wRow and ldAcc 0), and
-// all-255 codes and weights, whose product is the table's last entry
-// and whose 4-byte read ends in the spare entry past it.
+// TestGatherKernel pins each microkernel (on AVX2 hosts the gather
+// kernel, then the Go loop as "go"; elsewhere the Go loop) and its
+// column sums to a scalar walk of the same sums, for every registered
+// multiplier: lane counts 1..40 (every tail length, with and without
+// full blocks), tap counts 1, 3 and 25, blocks of two and four
+// channels, the single-channel mode (wRow and ldAcc 0), and all-255
+// codes and weights, whose product is the table's last entry and whose
+// 4-byte read ends in the spare entry past it.
 func TestGatherKernel(t *testing.T) {
-	if LUTKernel() != "avx2" {
-		t.Skip("no AVX2 on this CPU")
-	}
+	onEachKernel(t, gatherKernel)
+}
+
+func gatherKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(120))
 	for _, name := range axmult.Names() {
 		lutT := axmult.MustLookup(name).TableT()
@@ -97,8 +102,8 @@ func TestGatherKernel(t *testing.T) {
 // tailNet is a conv stack whose lane counts cover every tail: conv1
 // has 9 output pixels per sample (batches 1..17 give n*9 mod 16 = 0..15),
 // five channels (a block plus an overlapping one) and padding 0; conv2
-// has a 1x1 output and six channels, so batches under 8 take the Go dot
-// kernels and larger ones fill the gather lanes across the batch.
+// has a 1x1 output and six channels, so its lanes are the batch's
+// samples, from one lane up to two blocks of eight.
 func tailNet() *nn.Network {
 	rng := rand.New(rand.NewSource(121))
 	return &nn.Network{
@@ -287,4 +292,70 @@ func TestRequantFallsBack(t *testing.T) {
 	if c2.buildStairs(nil) != nil {
 		t.Fatal("a negative scale built an integer requantizer")
 	}
+}
+
+// BenchmarkGoKernelVsSeed measures what a host without AVX2 gives up:
+// the trained LeNet-5 (lenet5-digits) on mul8u_17KS scores a batch of
+// 64 test digits through the Go microkernel (forced) and through the
+// reference kernel, rounds interleaved, and reports the median per-round
+// cost ratio (paired-rel). "clean" scores the digits as they are, mostly
+// zero-point codes; "fgm" moves every pixel by +-0.1, as an FGM-linf
+// step does. cmd/axbench does not gate it.
+func BenchmarkGoKernelVsSeed(b *testing.B) {
+	defer forceGoKernel()()
+	m, err := modelzoo.Get("lenet5-digits")
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := Compile(m.Net, m.Test.Inputs(32), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q = q.WithMultiplier(axmult.MustLookup("mul8u_17KS"))
+	ref := q.WithReferenceKernel()
+	clean := tensor.Stack(m.Test.X[:64])
+	fgm := clean.Clone()
+	rng := rand.New(rand.NewSource(126))
+	for i := range fgm.Data {
+		fgm.Data[i] += float32(2*rng.Intn(2)-1) * 0.1
+	}
+	fgm.Clamp(0, 1)
+	for _, tc := range []struct {
+		name  string
+		batch *tensor.T
+	}{{"clean", clean}, {"fgm", fgm}} {
+		b.Run(tc.name, func(b *testing.B) {
+			pairedRel(b, 5,
+				func() { ref.LogitsBatch(tc.batch) },
+				func() { q.LogitsBatch(tc.batch) })
+		})
+	}
+}
+
+// pairedRel times ref and opt back to back in every round and reports
+// the median per-round opt/ref cost ratio as a "paired-rel" metric
+// (plus the reciprocal speedup). It runs b.N rounds, or minRounds if
+// that is more. Same pattern as the root package's kernel benchmarks.
+func pairedRel(b *testing.B, minRounds int, ref, opt func()) {
+	ref()
+	opt()
+	rounds := max(b.N, minRounds)
+	rels := make([]float64, 0, rounds)
+	b.ResetTimer()
+	for i := 0; i < rounds; i++ {
+		t0 := time.Now()
+		ref()
+		dRef := time.Since(t0)
+		t1 := time.Now()
+		opt()
+		rels = append(rels, float64(time.Since(t1))/float64(dRef))
+	}
+	b.StopTimer()
+	sort.Float64s(rels)
+	med := rels[len(rels)/2]
+	if n := len(rels); n%2 == 0 {
+		med = (rels[n/2-1] + rels[n/2]) / 2
+	}
+	b.ReportMetric(med, "paired-rel")
+	b.ReportMetric(1/med, "x-speedup")
 }

@@ -6,7 +6,7 @@
 // channel's products from that channel's 256-entry row of the
 // transposed multiplier table, keeps the low 16 bits (the product;
 // the high half is the next table entry) and adds. Integer addition is
-// exact and order-free, so the sums equal the Go kernels' bit for bit.
+// exact and order-free, so the sums equal the Go microkernel's bit for bit.
 
 // Lane masks: 16 all-ones words, then 16 zero words. The 32 bytes at
 // laneMask<>+4*(16-r) enable lanes [0, r) of one YMM register; the 32

@@ -11,17 +11,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// parityNets returns conv+dense stacks covering the shape corners the
-// tiled kernel specialises on: padded and strided convolutions, an
-// output-channel count that exercises both the 4-wide register block
-// and its 1-wide tail, pooling, and the dense stages.
+// parityNets returns conv+dense stacks covering the shape corners of
+// the gather GEMM's driver: padded and strided convolutions, channel
+// counts that take a block of four, a block of two after it, and a
+// last block overlapping the one before, pooling, and the dense stages.
 func parityNets() []*nn.Network {
 	rng := rand.New(rand.NewSource(97))
 	return []*nn.Network{
 		{
 			Name: "parity-pad",
 			Layers: []nn.Layer{
-				nn.NewConv2D(1, 6, 3, 1, 1, rng), // pad=1, outC=6: one block + 2-tail
+				nn.NewConv2D(1, 6, 3, 1, 1, rng), // pad=1, outC=6: a block of four, then one of two
 				&nn.ReLU{},
 				nn.NewAvgPool2D(2, 2),
 				nn.NewConv2D(6, 4, 3, 1, 0, rng), // outC=4: exactly one block
@@ -35,9 +35,9 @@ func parityNets() []*nn.Network {
 		{
 			Name: "parity-stride",
 			Layers: []nn.Layer{
-				nn.NewConv2D(2, 5, 3, 2, 2, rng), // stride=2, pad=2, outC=5: block + 1-tail
+				nn.NewConv2D(2, 5, 3, 2, 2, rng), // stride=2, pad=2, outC=5: a block of two overlaps the block of four
 				&nn.ReLU{},
-				nn.NewConv2D(5, 3, 3, 1, 0, rng), // outC=3: tail only, no full block
+				nn.NewConv2D(5, 3, 3, 1, 0, rng), // outC=3: two overlapping blocks of two
 				&nn.ReLU{},
 				&nn.Flatten{},
 				nn.NewDense(3*3*3, 5, rng),
@@ -82,7 +82,7 @@ func TestTiledKernelParityAllMultipliers(t *testing.T) {
 
 // onEachKernel runs body on the conv kernel this CPU selects (the AVX2
 // gather kernel where the CPU has it) and, on AVX2 hosts, once more
-// with the Go kernels forced ("go").
+// with the Go microkernel forced ("go").
 func onEachKernel(t *testing.T, body func(t *testing.T)) {
 	body(t)
 	if LUTKernel() == "avx2" {
@@ -120,8 +120,7 @@ func parityAllMultipliers(t *testing.T) {
 
 // sparseParityBatch builds inputs whose real value is exactly zero
 // with probability 1-density — after quantization those positions hold
-// the activation zero-point code, driving the per-sample router toward
-// the skip-zero kernel.
+// the activation zero-point code.
 func sparseParityBatch(chans, n int, density float64, seed int64) []*tensor.T {
 	rng := rand.New(rand.NewSource(seed))
 	var xs []*tensor.T
@@ -137,13 +136,11 @@ func sparseParityBatch(chans, n int, density float64, seed int64) []*tensor.T {
 	return xs
 }
 
-// TestTiledKernelParitySparse pins the skip-zero path: batches mixing
-// mostly-zero samples (sparse-routed), dense samples, and an all-zero
-// sample (an empty sparse view) must stay bit-identical to the
-// reference kernel on every structural corner — padded stride-1 convs
-// (the direct-from-input sparse view builder), strided convs (the
-// column-matrix fallback builder), and a 1x1-output conv (the dot
-// path), across structurally diverse multipliers.
+// TestTiledKernelParitySparse covers mostly-zero inputs: batches mixing
+// mostly-zero samples, dense samples, and an all-zero sample must stay
+// bit-identical to the reference kernel on padded stride-1 convs,
+// strided convs, and a 1x1-output conv with a seven-channel block
+// overlap, across structurally diverse multipliers.
 func TestTiledKernelParitySparse(t *testing.T) {
 	onEachKernel(t, paritySparse)
 }
@@ -154,7 +151,7 @@ func paritySparse(t *testing.T) {
 	nets = append(nets, &nn.Network{
 		Name: "parity-1x1",
 		Layers: []nn.Layer{
-			nn.NewConv2D(1, 7, 8, 1, 0, rng), // k == input size: p == 1, outC=7: dot4+dot2+dot1
+			nn.NewConv2D(1, 7, 8, 1, 0, rng), // k == input size: p == 1, outC=7: a block of four, then one overlapping it
 			&nn.ReLU{},
 			&nn.Flatten{},
 			nn.NewDense(7, 4, rng),
@@ -168,65 +165,15 @@ func paritySparse(t *testing.T) {
 			t.Fatal(err)
 		}
 		var xs []*tensor.T
-		xs = append(xs, sparseParityBatch(chans, 3, 0.08, int64(500+ni))...) // sparse-routed
-		xs = append(xs, parityBatch(chans, 2, int64(510+ni))...)             // dense-routed
-		xs = append(xs, tensor.New(chans, 8, 8))                             // all-zero: empty sparse view
+		xs = append(xs, sparseParityBatch(chans, 3, 0.08, int64(500+ni))...) // mostly zero
+		xs = append(xs, parityBatch(chans, 2, int64(510+ni))...)             // dense
+		xs = append(xs, tensor.New(chans, 8, 8))                             // all zero
 		batch := tensor.Stack(xs)
 		for _, name := range muls {
 			eng := q.WithMultiplier(axmult.MustLookup(name))
 			want := eng.WithReferenceKernel().LogitsBatch(batch)
 			got := eng.LogitsBatch(batch)
 			assertSameLogits(t, fmt.Sprintf("sparse/%s/%s", net.Name, name), want, got)
-		}
-	}
-}
-
-// TestSparseViewBuilders pins nzFromInput against nzFromCols: for
-// stride-1 geometries with and without padding, building the packed
-// sparse view straight from the input plane must yield exactly the
-// entries and row offsets that the column-matrix walk produces.
-func TestSparseViewBuilders(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	const zaCode = 37
-	for _, g := range []struct{ inC, h, w, k, pad int }{
-		{1, 8, 8, 3, 0},
-		{1, 8, 8, 3, 1},
-		{2, 7, 9, 3, 2},
-		{3, 6, 6, 5, 2},
-		{1, 5, 5, 5, 0}, // p == 1
-	} {
-		outH := g.h + 2*g.pad - g.k + 1
-		outW := g.w + 2*g.pad - g.k + 1
-		p := outH * outW
-		kk := g.inC * g.k * g.k
-		x := make([]uint8, g.inC*g.h*g.w)
-		for i := range x {
-			if rng.Float64() < 0.3 {
-				x[i] = uint8(rng.Intn(256))
-			} else {
-				x[i] = zaCode
-			}
-		}
-		cols := make([]uint8, kk*p)
-		im2colCodes(x, g.inC, g.h, g.w, g.k, 1, g.pad, zaCode, cols, p)
-		wantNz := make([]uint32, kk*p)
-		wantOff := make([]int32, kk+1)
-		wantCnt := nzFromCols(cols, p, kk, zaCode, wantNz, wantOff)
-		gotNz := make([]uint32, kk*p)
-		gotOff := make([]int32, kk+1)
-		gotCnt := nzFromInput(x, g.inC, g.h, g.w, g.k, g.pad, outH, outW, zaCode, gotNz, gotOff)
-		if gotCnt != wantCnt {
-			t.Fatalf("%+v: entry count %d, want %d", g, gotCnt, wantCnt)
-		}
-		for q := 0; q <= kk; q++ {
-			if gotOff[q] != wantOff[q] {
-				t.Fatalf("%+v: nzOff[%d] = %d, want %d", g, q, gotOff[q], wantOff[q])
-			}
-		}
-		for i := 0; i < wantCnt; i++ {
-			if gotNz[i] != wantNz[i] {
-				t.Fatalf("%+v: entry %d = %#x, want %#x", g, i, gotNz[i], wantNz[i])
-			}
 		}
 	}
 }

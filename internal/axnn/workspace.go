@@ -3,8 +3,8 @@ package axnn
 import "sync"
 
 // workspace is the per-worker scratch arena for one pass through the
-// layer stack: im2col columns, zero-point activation sums, register-
-// blocked accumulators, ping-pong activation buffers, and the dense
+// layer stack: im2col columns, zero-point activation sums, channel-
+// block accumulators, ping-pong activation buffers, and the dense
 // float staging area. Workspaces are checked out of the Network's
 // sync.Pool per run call (one per concurrent goroutine), presized
 // at Compile from the calibration shape, and grown on demand — so the
@@ -15,18 +15,6 @@ type workspace struct {
 	acc  []int32
 	vals []float32
 
-	// nz and nzOff hold the sparse im2col view used by the skip-zero
-	// conv kernel: nz packs (pixel<<8 | code) for every column entry
-	// whose code differs from the activation zero-point, and
-	// nzOff[q]:nzOff[q+1] bounds row q's entries.
-	nz    []uint32
-	nzOff []int32
-
-	// pack holds the dense kernels' packed pixel-pair accumulators
-	// (convBlock lanes of convTile/2 uint64 halves); each kernel call
-	// clears only the pairs its tile actually uses.
-	pack []uint64
-
 	// act holds the ping-pong activation buffers: each layer reads its
 	// input from one buffer and writes its output into the other, so
 	// intermediate activations never allocate and never alias.
@@ -34,34 +22,26 @@ type workspace struct {
 	cur int
 }
 
-// wsHint carries the per-sample buffer maxima derived at Compile time
-// (activation buffers additionally scale with the runtime chunk size).
+// wsHint carries the buffer maxima derived at Compile time: a full
+// column group of each conv stage (groupLanes), whatever the chunk
+// size, and one sample of each other buffer (activation buffers
+// additionally scale with the runtime chunk size).
 type wsHint struct {
-	cols  int // max im2col footprint: kk * p over conv layers
-	p     int // max conv pixel count (aSum)
-	acc   int // register-block accumulator footprint
+	cols  int // max group im2col footprint: kk * groupLanes(p) over conv layers
+	lanes int // max group lanes (aSum)
+	acc   int // channel-block accumulator footprint: convBlock group rows, or a dense width
 	vol   int // max per-sample activation volume (any layer, and input)
 	dense int // max dense output width (vals, per sample)
-	kk    int // max conv reduction depth (nzOff)
 }
 
 func newWorkspace(h wsHint) *workspace {
-	w := &workspace{
+	return &workspace{
 		cols: make([]uint8, h.cols+gatherPad),
-		aSum: make([]int32, h.p),
+		aSum: make([]int32, h.lanes),
 		acc:  make([]int32, h.acc),
 		vals: make([]float32, h.dense),
 		act:  [2][]uint8{make([]uint8, h.vol), make([]uint8, h.vol)},
 	}
-	if !useGather {
-		// The Go kernels' sparse view and packed accumulators; the
-		// gather kernel needs neither (they grow on demand if a Go
-		// kernel runs anyway).
-		w.nz = make([]uint32, h.cols)
-		w.nzOff = make([]int32, h.kk+1)
-		w.pack = make([]uint64, convBlock*(convTile/2))
-	}
-	return w
 }
 
 // nextAct flips to the other activation buffer and returns it sized to
@@ -96,20 +76,6 @@ func i32(buf *[]int32, n int) []int32 {
 func f32(buf *[]float32, n int) []float32 {
 	if cap(*buf) < n {
 		*buf = make([]float32, n)
-	}
-	return (*buf)[:n]
-}
-
-func u32(buf *[]uint32, n int) []uint32 {
-	if cap(*buf) < n {
-		*buf = make([]uint32, n)
-	}
-	return (*buf)[:n]
-}
-
-func u64(buf *[]uint64, n int) []uint64 {
-	if cap(*buf) < n {
-		*buf = make([]uint64, n)
 	}
 	return (*buf)[:n]
 }

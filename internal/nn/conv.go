@@ -9,15 +9,11 @@ import (
 )
 
 // Conv2D is a 2-D convolution (cross-correlation) layer over [C,H,W]
-// samples or [N,C,H,W] batches, implemented with im2col and GEMMs. On
-// AVX2 hosts both products run on the assembly lane kernel
-// (gemm_lanes.go) over tap-major columns; elsewhere on the
-// register-tiled Go GEMM (gemm.go): the forward pass unrolls the whole
-// batch into pixel-major patches ([N*P][InC*K*K], one contiguous patch
-// per output pixel) and multiplies them by W in output-channel x pixel
-// tiles whose pixel index spans the batch. Either way the backward pass
-// reuses the columns for weight gradients and computes the input
-// gradient W^T dy, scattered back by Col2im.
+// samples or [N,C,H,W] batches, implemented with im2col and the lane
+// GEMM (gemm_lanes.go): the forward pass unrolls the batch into
+// tap-major columns with its samples side by side and multiplies W by
+// them; the backward pass reuses the columns for weight gradients and
+// computes the input gradient W^T dy, scattered back by Col2im.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 
@@ -62,7 +58,6 @@ func (c *Conv2D) Forward(x *tensor.T, st *State) *tensor.T {
 	p := outH * outW
 	kk := c.InC * c.K * c.K
 	st.x = x
-	st.taps = useLanes
 
 	var y *tensor.T
 	if len(x.Shape) == 4 {
@@ -70,20 +65,11 @@ func (c *Conv2D) Forward(x *tensor.T, st *State) *tensor.T {
 	} else {
 		y = tensor.New(c.OutC, outH, outW)
 	}
-	if st.taps {
-		c.forwardLanes(x.Data, y.Data, st, n, inH, inW, p, kk)
-		return y
-	}
-	cols := grow(&st.cols, n*p*kk)
-	inStride := c.InC * inH * inW
-	for s := 0; s < n; s++ {
-		im2colPatches(x.Data[s*inStride:(s+1)*inStride], c.InC, inH, inW, c.K, c.Stride, c.Pad, cols[s*p*kk:(s+1)*p*kk])
-	}
-	gemmRowsByPixels(y.Data, c.W, c.OutC, cols, n*p, kk, p, c.B)
+	c.forwardLanes(x.Data, y.Data, st, n, inH, inW, p, kk)
 	return y
 }
 
-// Backward implements Layer. It overwrites the patches Forward left in
+// Backward implements Layer. It overwrites the columns Forward left in
 // st, so each Forward is followed by at most one Backward.
 func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 	x := st.x
@@ -95,17 +81,13 @@ func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 	cols := st.cols[:n*p*kk]
 
 	if st.accumGrads {
-		c.weightGrads(dy.Data, cols, st.taps, n, p, kk)
+		c.weightGrads(dy.Data, cols, n, p, kk)
 	}
 
 	// The columns are dead once the weight gradients are in, so dcols
 	// ([N][kk][P], the layout Col2im reads) reuses their buffer.
 	dcols := cols
-	if st.taps {
-		c.inputGradLanes(dy.Data, dcols, st, n, p, kk)
-	} else {
-		c.inputGradTiles(dy.Data, dcols, st, n, p, kk)
-	}
+	c.inputGradLanes(dy.Data, dcols, st, n, p, kk)
 
 	var dx *tensor.T
 	if len(x.Shape) == 4 {
@@ -121,26 +103,16 @@ func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 }
 
 // weightGrads accumulates the weight and bias gradients from dy and
-// the columns Forward left: tap-major (taps, the lane kernel's layout)
-// or pixel-major patches (the Go tile's). Each weight's sum over a
-// sample's pixels runs in ascending pixel order, then adds into GW.
-func (c *Conv2D) weightGrads(dy, cols []float32, taps bool, n, p, kk int) {
+// the tap-major columns Forward left. Each weight's sum over a sample's
+// pixels runs in ascending pixel order, then adds into GW.
+func (c *Conv2D) weightGrads(dy, cols []float32, n, p, kk int) {
 	for s := 0; s < n; s++ {
-		patches := cols[s*p*kk : (s+1)*p*kk]
 		dyd := dy[s*c.OutC*p : (s+1)*c.OutC*p]
 		for oc := 0; oc < c.OutC; oc++ {
 			d := dyd[oc*p : (oc+1)*p]
 			gw := c.GW[oc*kk : (oc+1)*kk]
 			for q := range gw {
-				var sum float32
-				if taps {
-					sum = dot1x1(d, cols[q*n*p+s*p:q*n*p+(s+1)*p])
-				} else {
-					for i, v := range d {
-						sum += v * patches[i*kk+q]
-					}
-				}
-				gw[q] += sum
+				gw[q] += dot1x1(d, cols[q*n*p+s*p:q*n*p+(s+1)*p])
 			}
 			var sb float32
 			for _, v := range d {
@@ -150,40 +122,6 @@ func (c *Conv2D) weightGrads(dy, cols []float32, taps bool, n, p, kk int) {
 		}
 	}
 }
-
-// inputGradTiles writes dcols = W^T dy on the Go tile: tap x pixel
-// tiles reducing over output channels, from W and dy transposed so both
-// operands are contiguous along that reduction. W is packed on every
-// call, never cached on the layer: training and fine-tuning rewrite it
-// between calls. dy is transposed a chunk of whole samples at a time,
-// so its scratch stays the size of one sample's dy on large outputs
-// while a batch of 1x1 outputs still shares pixel tiles.
-func (c *Conv2D) inputGradTiles(dy, dcols []float32, st *State, n, p, kk int) {
-	wt := grow(&st.wt, kk*c.OutC)
-	for oc := 0; oc < c.OutC; oc++ {
-		for q, v := range c.W[oc*kk : (oc+1)*kk] {
-			wt[q*c.OutC+oc] = v
-		}
-	}
-	chunk := min(n, (minChunkPixels+p-1)/p)
-	dyt := grow(&st.dyt, chunk*p*c.OutC)
-	for s0 := 0; s0 < n; s0 += chunk {
-		s1 := min(s0+chunk, n)
-		for s := s0; s < s1; s++ {
-			for oc := 0; oc < c.OutC; oc++ {
-				for i, v := range dy[(s*c.OutC+oc)*p : (s*c.OutC+oc+1)*p] {
-					dyt[((s-s0)*p+i)*c.OutC+oc] = v
-				}
-			}
-		}
-		gemmRowsByPixels(dcols[s0*kk*p:s1*kk*p], wt, kk, dyt, (s1-s0)*p, c.OutC, p, nil)
-	}
-}
-
-// minChunkPixels is the fewest output pixels Backward transposes dy
-// for at once: enough to fill pixel tiles when each sample has a 1x1
-// output, without growing the scratch with the batch otherwise.
-const minChunkPixels = 64
 
 // Params implements ParamLayer.
 func (c *Conv2D) Params() []Param {
@@ -302,49 +240,4 @@ func inBounds(off, pad, stride, n, outN int) (lo, hi int) {
 		hi = m/stride + 1
 	}
 	return min(lo, hi), hi
-}
-
-// im2colPatches is Im2col transposed to pixel-major: output pixel
-// p = oi*outW+oj owns the contiguous patch cols[p*kk : (p+1)*kk]
-// (kk = inC*k*k), holding x[ci, oi*stride+ki-pad, oj*stride+kj-pad] at
-// tap (ci*k+ki)*k+kj. Padding positions are zero.
-func im2colPatches(x []float32, inC, h, w, k, stride, pad int, cols []float32) {
-	outH := (h+2*pad-k)/stride + 1
-	outW := (w+2*pad-k)/stride + 1
-	kk := inC * k * k
-	// Pixels [lo, hi) of an output row read all k taps of a kernel row
-	// in bounds.
-	lo, _ := inBounds(0, pad, stride, w, outW)
-	_, hi := inBounds(k-1, pad, stride, w, outW)
-	for oi := 0; oi < outH; oi++ {
-		band := cols[oi*outW*kk : (oi+1)*outW*kk]
-		for ci := 0; ci < inC; ci++ {
-			for ki := 0; ki < k; ki++ {
-				t := (ci*k + ki) * k
-				ii := oi*stride + ki - pad
-				if ii < 0 || ii >= h {
-					for oj := 0; oj < outW; oj++ {
-						clear(band[oj*kk+t : oj*kk+t+k])
-					}
-					continue
-				}
-				row := x[(ci*h+ii)*w : (ci*h+ii+1)*w]
-				for oj := 0; oj < outW; oj++ {
-					seg := band[oj*kk+t : oj*kk+t+k]
-					j0 := oj*stride - pad
-					if oj >= lo && oj < hi {
-						copy(seg, row[j0:j0+k])
-						continue
-					}
-					for kj := range seg {
-						if jj := j0 + kj; jj >= 0 && jj < w {
-							seg[kj] = row[jj]
-						} else {
-							seg[kj] = 0
-						}
-					}
-				}
-			}
-		}
-	}
 }

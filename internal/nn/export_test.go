@@ -33,10 +33,15 @@ func RefNetwork(n *Network) *Network {
 // gradients, as Network.AccumGrad prepares it.
 func TrainingState() *State { return &State{accumGrads: true} }
 
-// ForceGoTile switches Conv2D to the Go tile and returns a func that
-// restores the previous choice.
+// ForceGoTile switches Conv2D to the Go microkernel and returns a func
+// that restores the previous choice.
 func ForceGoTile() (restore func()) {
 	prev := useLanes
 	useLanes = false
 	return func() { useLanes = prev }
+}
+
+// GemmLanes runs the lane GEMM (gemmLanes) on the selected microkernel.
+func GemmLanes(c []float32, ldc int, a []float32, aRow, aStep int, b []float32, ldb int, bias []float32, m, k, n int) {
+	gemmLanes(c, ldc, a, aRow, aStep, b, ldb, bias, m, k, n)
 }

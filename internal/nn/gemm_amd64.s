@@ -4,7 +4,7 @@
 // holds one output c[r][j] and reduces it in ascending q from +0 with
 // a separate VMULPS and VADDPS per step (never VFMADD*: a fused
 // multiply-add rounds once and would change bytes), then adds the
-// row's bias, exactly as the Go tile and the reference kernels do.
+// row's bias, exactly as the Go microkernel and the reference loops do.
 
 // Lane masks: 16 all-ones words, then 16 zero words. The 32 bytes at
 // laneMask<>+4*(16-r) enable lanes [0, r) of one YMM register; the 32

@@ -2,11 +2,9 @@ package nn
 
 import "repro/internal/cpufeat"
 
-// Lane GEMM for the conv layers on AVX2 hosts. Where gemm.go reduces
-// each output in a scalar register of a 3x2 tile, the lane kernel puts
-// eight independent outputs side by side in one YMM register: lanes
-// run along the pixel axis, so both conv products read their operands
-// in the layouts they already have and write their outputs in place:
+// Lane GEMM for the conv layers. Lanes run along the pixel axis, so
+// both conv products read their operands in the layouts they already
+// have and write their outputs in place:
 //
 //   - forward: y[s][oc][i] = Σ_q W[oc][q] · cols[q][s*P+i] + B[oc], over
 //     tap-major columns (im2colTaps) in which the batch's samples sit
@@ -19,16 +17,20 @@ import "repro/internal/cpufeat"
 // with lanes spanning the batch instead, through scratch that is
 // gathered and scattered per call (span, unspan).
 //
-// Each lane reduces its output in ascending index order from +0 with a
-// separate multiply and add, then adds the bias: the arithmetic of the
-// Go tile and of ref.go, so both paths give the same bytes.
+// Two microkernels compute four rows x n lanes over the same operands.
+// On AVX2 hosts (gemm_amd64.s) eight lanes sit side by side in one YMM
+// register; elsewhere a plain Go loop walks a strip of lanes per step
+// of the reduction, with the strip's sums in a stack array. Each lane
+// reduces its output in ascending index order from +0, rounding each
+// product before the add, then adds the bias: the arithmetic of ref.go,
+// so both give the reference loops' bytes.
 
-// useLanes selects the lane kernel for Conv2D. It is set once, from the
-// CPU's features; only tests switch it (export_test.go).
+// useLanes selects the AVX2 microkernel. It is set once, from the CPU's
+// features; only tests switch it (export_test.go).
 var useLanes = cpufeat.AVX2
 
-// FloatGEMM names the conv GEMM this process runs: "avx2" for the lane
-// kernel, "go" for the portable tile.
+// FloatGEMM names the conv GEMM microkernel this process runs: "avx2"
+// for the assembly kernel, "go" for the portable Go loop.
 func FloatGEMM() string {
 	if useLanes {
 		return "avx2"
@@ -37,11 +39,14 @@ func FloatGEMM() string {
 }
 
 const (
-	// laneRows is the microkernel's row block.
+	// laneRows is the microkernels' row block.
 	laneRows = 4
 	// maxCallLanes bounds the lanes of one microkernel call, so one
 	// call stays short: assembly loops cannot be preempted.
 	maxCallLanes = 512
+	// goLanes is the Go microkernel's lane strip: four rows of float32
+	// sums in 4 KB of stack.
+	goLanes = 256
 	// minLanePixels is the fewest output pixels per sample that run
 	// one sample per lane block; smaller outputs span the batch.
 	minLanePixels = 16
@@ -67,26 +72,77 @@ func gemmLanes(c []float32, ldc int, a []float32, aRow, aStep int, b []float32, 
 		// Each row runs as a block of four copies of itself (row and
 		// output strides 0) that all store the same values in one place.
 		for r := 0; r < m; r++ {
-			var bb [laneRows]float32
-			var bp *float32
+			var bb []float32
 			if bias != nil {
-				bb = [laneRows]float32{bias[r], bias[r], bias[r], bias[r]}
-				bp = &bb[0]
+				bb = []float32{bias[r], bias[r], bias[r], bias[r]}
 			}
-			for j := 0; j < n; j += maxCallLanes {
-				gemm4AVX2(&c[r*ldc+j], 0, &a[r*aRow], 0, aStep, &b[j], ldb, bp, k, min(maxCallLanes, n-j))
-			}
+			gemm4(c[r*ldc:], 0, a[r*aRow:], 0, aStep, b, ldb, bb, k, n)
 		}
 		return
 	}
 	for r := 0; r < m; r += laneRows {
 		r = min(r, m-laneRows)
+		var bb []float32
+		if bias != nil {
+			bb = bias[r:]
+		}
+		gemm4(c[r*ldc:], ldc, a[r*aRow:], aRow, aStep, b, ldb, bb, k, n)
+	}
+}
+
+// gemm4 runs one block of four rows on the selected microkernel, at
+// most maxCallLanes lanes per call.
+func gemm4(c []float32, ldc int, a []float32, aRow, aStep int, b []float32, ldb int, bias []float32, k, n int) {
+	for j := 0; j < n; j += maxCallLanes {
+		nj := min(maxCallLanes, n-j)
+		if !useLanes {
+			gemm4Go(c[j:], ldc, a, aRow, aStep, b[j:], ldb, bias, k, nj)
+			continue
+		}
 		var bp *float32
 		if bias != nil {
-			bp = &bias[r]
+			bp = &bias[0]
 		}
-		for j := 0; j < n; j += maxCallLanes {
-			gemm4AVX2(&c[r*ldc+j], ldc, &a[r*aRow], aRow, aStep, &b[j], ldb, bp, k, min(maxCallLanes, n-j))
+		gemm4AVX2(&c[j], ldc, &a[0], aRow, aStep, &b[j], ldb, bp, k, nj)
+	}
+}
+
+// gemm4Go is the Go microkernel: gemm4AVX2's four rows x n lanes over
+// the same operands, goLanes lanes at a time. gemm4 is its only
+// caller, on operands whose extents gemmLanes checked. Converting each
+// product to float32 before the add keeps it rounded on its own: the
+// Go spec forbids fusing a multiply-add across an explicit conversion,
+// so arm64 gives amd64's bytes.
+func gemm4Go(c []float32, ldc int, a []float32, aRow, aStep int, b []float32, ldb int, bias []float32, k, n int) {
+	var strip [laneRows][goLanes]float32
+	for j := 0; j < n; j += goLanes {
+		s0 := strip[0][:min(goLanes, n-j)]
+		s1, s2, s3 := strip[1][:len(s0)], strip[2][:len(s0)], strip[3][:len(s0)]
+		clear(s0)
+		clear(s1)
+		clear(s2)
+		clear(s3)
+		for q := 0; q < k; q++ {
+			x0, x1 := a[q*aStep], a[aRow+q*aStep]
+			x2, x3 := a[2*aRow+q*aStep], a[3*aRow+q*aStep]
+			for i, v := range b[q*ldb+j:][:len(s0)] {
+				s0[i] += float32(x0 * v)
+				s1[i] += float32(x1 * v)
+				s2[i] += float32(x2 * v)
+				s3[i] += float32(x3 * v)
+			}
+		}
+		for r := range strip {
+			dst := c[r*ldc+j:][:len(s0)]
+			s := strip[r][:len(dst)]
+			if bias == nil {
+				copy(dst, s)
+				continue
+			}
+			br := bias[r]
+			for i, v := range s {
+				dst[i] = v + br
+			}
 		}
 	}
 }
@@ -200,4 +256,14 @@ func im2colTaps(x []float32, inC, h, w, k, stride, pad int, cols []float32, ld i
 			}
 		}
 	}
+}
+
+// dot1x1 is the single dot product a · b, reduced in ascending index
+// order from +0 with each product rounded before the add.
+func dot1x1(a, b []float32) (s float32) {
+	b = b[:len(a)]
+	for q, x := range a {
+		s += float32(x * b[q])
+	}
+	return
 }

@@ -28,11 +28,9 @@ type State struct {
 	accumGrads bool
 
 	x     *tensor.T // layer input (conv, dense, pool)
-	cols  []float32 // conv patches for the whole batch (pixel-major, or tap-major if taps); input-gradient columns in Backward
-	taps  bool      // conv Forward ran the lane kernel (gemm_lanes.go): cols is tap-major
-	wt    []float32 // conv backward, Go tile: W transposed to [InC*K*K][OutC]
-	dyt   []float32 // conv backward: dy transposed to [pixels][OutC] (Go tile, one chunk of samples) or spanned to [OutC][pixels] (lane kernel)
-	span  []float32 // conv, lane kernel: output rows spanning the batch, before the scatter to [N][rows][P]
+	cols  []float32 // conv: tap-major columns for the whole batch; input-gradient columns in Backward
+	dyt   []float32 // conv backward: dy spanned to [OutC][pixels] for outputs under minLanePixels
+	span  []float32 // conv: output rows spanning the batch, before the scatter to [N][rows][P]
 	mask  []bool    // relu activation mask
 	shape []int     // flatten input shape
 }

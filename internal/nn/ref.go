@@ -44,7 +44,7 @@ func (c *Conv2D) refForward(x *tensor.T, st *State) *tensor.T {
 				}
 				col := cols[q*p : (q+1)*p]
 				for i, v := range col {
-					out[i] += wq * v
+					out[i] += float32(wq * v)
 				}
 			}
 			bias := c.B[oc]
@@ -86,7 +86,7 @@ func (c *Conv2D) refBackward(dy *tensor.T, st *State) *tensor.T {
 					col := cols[q*p : (q+1)*p]
 					var sum float32
 					for i, v := range col {
-						sum += d[i] * v
+						sum += float32(d[i] * v)
 					}
 					gw[q] += sum
 				}
@@ -111,7 +111,7 @@ func (c *Conv2D) refBackward(dy *tensor.T, st *State) *tensor.T {
 				}
 				dst := dcols[q*p : (q+1)*p]
 				for i, v := range d {
-					dst[i] += wq * v
+					dst[i] += float32(wq * v)
 				}
 			}
 		}

@@ -51,12 +51,14 @@ func zeroSomeWeights(net *nn.Network) {
 	}
 }
 
-// TestFloatTiledParity pins the tiled conv kernels to the reference
-// kernels bit for bit: forward outputs, input gradients, and weight
-// and bias gradients, on every shape the model builders produce and
-// on edge shapes, for batches and single samples. It runs on the GEMM
-// path this CPU selects (the AVX2 lane kernel where the CPU has it)
-// and, on AVX2 hosts, once more with the Go tile forced ("go").
+// TestFloatTiledParity pins the lane GEMM's microkernel to a scalar
+// loop of the same sums over every lane tail, and the conv layers to
+// the reference kernels bit for bit: forward outputs, input gradients,
+// and weight and bias gradients, on every shape the model builders
+// produce and on edge shapes, for batches and single samples. It runs
+// on the microkernel this CPU selects (the AVX2 kernel where the CPU
+// has it) and, on AVX2 hosts, once more with the Go microkernel forced
+// ("go").
 func TestFloatTiledParity(t *testing.T) {
 	floatTiledParity(t)
 	if nn.FloatGEMM() == "avx2" {
@@ -71,6 +73,8 @@ func TestFloatTiledParity(t *testing.T) {
 type convShape struct{ inC, outC, k, stride, pad, h, w int }
 
 func floatTiledParity(t *testing.T) {
+	t.Run("microkernel", gemmLanesParity)
+
 	t.Run("layers", func(t *testing.T) {
 		shapes := []convShape{
 			{1, 6, 5, 1, 2, 28, 28},  // LeNet-5 conv1, digits
@@ -193,6 +197,64 @@ func floatTiledParity(t *testing.T) {
 	})
 }
 
+// gemmLanesParity checks GemmLanes against a scalar loop of its sums,
+// each reduced in ascending q from +0 with the product rounded before
+// the add, then the bias added: row counts 1..9 (the copy mode under
+// four rows, and overlapping last blocks), reduction lengths 1, 3 and
+// 25, lane counts 1..40 (every tail of the 16- and 8-lane blocks) and
+// across the 256-lane strip and 512-lane call boundaries, both operand
+// layouts of the conv layers, and a nil or set bias. Lanes past n and
+// the gaps between rows must keep their old contents.
+func gemmLanesParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sentinel := float32(math.Copysign(0, -1))
+	lanes := []int{255, 256, 257, 511, 512, 513, 600}
+	for n := 1; n <= 40; n++ {
+		lanes = append(lanes, n)
+	}
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 9} {
+		for _, k := range []int{1, 3, 25} {
+			for _, n := range lanes {
+				ld := n + 3 // row strides wider than the lanes
+				a := make([]float32, m*k)
+				b := make([]float32, (k-1)*ld+n)
+				bias := make([]float32, m)
+				spiky(a, rng)
+				spiky(b, rng)
+				spiky(bias, rng)
+				// Forward reads row r of a at r*k (aRow k, aStep 1), the
+				// input gradient at r (aRow 1, aStep m).
+				for _, layout := range [][2]int{{k, 1}, {1, m}} {
+					for _, bb := range [][]float32{nil, bias} {
+						c := make([]float32, (m-1)*ld+n+3)
+						for i := range c {
+							c[i] = sentinel
+						}
+						nn.GemmLanes(c, ld, a, layout[0], layout[1], b, ld, bb, m, k, n)
+						for r := 0; r < m; r++ {
+							for j := 0; j < ld && r*ld+j < len(c); j++ {
+								want := sentinel
+								if j < n {
+									want = 0
+									for q := 0; q < k; q++ {
+										want += float32(a[r*layout[0]+q*layout[1]] * b[q*ld+j])
+									}
+									if bb != nil {
+										want += bb[r]
+									}
+								}
+								if got := c[r*ld+j]; math.Float32bits(got) != math.Float32bits(want) {
+									t.Fatalf("m%d k%d n%d layout %v bias %t: c[%d][%d] = %v, want %v", m, k, n, layout, bb != nil, r, j, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // convParity runs one Conv2D shape on a batch of n samples (0: one
 // unbatched sample) through the tiled and the reference kernels and
 // compares outputs and gradients bit for bit over two training passes.
@@ -256,6 +318,22 @@ func BenchmarkFloatTiledVsSeed(b *testing.B) {
 			net.LossGradBatch(batch, labels)
 		}
 	})
+	floatPaired(b, net, ref, batch, labels)
+}
+
+// BenchmarkFloatGoVsSeed is BenchmarkFloatTiledVsSeed's paired ratios
+// with the Go microkernel forced, which is what a host without AVX2
+// runs. It is not gated: cmd/axbench's gate runs only the TiledVsSeed
+// benchmarks.
+func BenchmarkFloatGoVsSeed(b *testing.B) {
+	defer nn.ForceGoTile()()
+	net, batch, labels := benchNet(models.LeNet5(1, 28, 28, 10, 7), []int{1, 28, 28}, 6)
+	floatPaired(b, net, nn.RefNetwork(net), batch, labels)
+}
+
+// floatPaired runs the "paired" (LeNet-5 net against its reference
+// copy ref on batch) and "alexnet-paired" sub-benchmarks.
+func floatPaired(b *testing.B, net, ref *nn.Network, batch *tensor.T, labels []int) {
 	// One tiled LossGradBatch takes ~2 ms, close to scheduler noise on
 	// a shared runner: a round runs five, so its tiled side takes
 	// ~10 ms or more.
