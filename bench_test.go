@@ -35,7 +35,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/models"
 	"repro/internal/modelzoo"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/tensor"
@@ -66,63 +65,66 @@ func emit(b *testing.B, key string, text string) {
 	}
 }
 
-// mnistVictims builds the M1..M9 AxDNN columns for LeNet-5.
-func mnistVictims(b *testing.B) (*modelzoo.Model, []core.Victim) {
+// benchCache is the one cache every paper benchmark sweeps through, and
+// benchEngine the one engine over it, so cells shared across
+// benchmarks and iterations (the eps=0 clean row, a repeated grid) are
+// crafted once per process.
+var (
+	benchCache  = core.NewCache(core.CacheConfig{})
+	benchEngine = experiment.New(experiment.WithCache(benchCache))
+)
+
+// runSpec runs one paper suite through benchEngine.
+func runSpec(b *testing.B, spec *experiment.Spec) *experiment.Report {
 	b.Helper()
-	m, err := modelzoo.Get("lenet5-digits")
+	rep, err := benchEngine.Run(context.Background(), spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := core.BuildAxVictims(m.Net, m.Test, axmult.MNISTSet(), axnn.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, v
+	return rep
 }
 
-// cifarVictims builds the M1..M8 AxDNN columns for AlexNet.
-func cifarVictims(b *testing.B) (*modelzoo.Model, []core.Victim) {
+// loadSpec reads a checked-in paper suite from testdata/specs and
+// runs it at the bench sample count, so each figure is declared once.
+func loadSpec(b *testing.B, file string, samples int) *experiment.Spec {
 	b.Helper()
-	m, err := modelzoo.Get("alexnet-objects")
+	spec, err := experiment.Load("testdata/specs/" + file)
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := core.BuildAxVictims(m.Net, m.Test, axmult.CIFARSet(), axnn.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, v
+	spec.Samples = benchSamples(samples)
+	return spec
 }
 
-// benchCache is the one cache every paper benchmark sweeps through, so
-// cells shared across benchmarks and iterations (the eps=0 clean row,
-// a repeated grid) are crafted once per process.
-var benchCache = core.NewCache(core.CacheConfig{})
-
-// sweep runs one single-grid Algorithm 1 sweep through benchCache.
-func sweep(b *testing.B, src *nn.Network, victims []core.Victim, set *dataset.Set, atk attack.Attack, eps []float64, opts core.Options) *core.Grid {
+// loadModels resolves models before the timer starts, so a figure
+// bench times its sweep rather than the first model load.
+func loadModels(b *testing.B, names ...string) {
 	b.Helper()
-	g, err := benchCache.RobustnessGrid(context.Background(), src, victims, set, atk, eps, opts)
-	if err != nil {
-		b.Fatal(err)
+	for _, name := range names {
+		if _, err := modelzoo.Get(name); err != nil {
+			b.Fatal(err)
+		}
 	}
-	return g
 }
 
-// gridBench is the shared driver for the Figs. 4-7 panels.
+// gridBench is the shared driver for the Figs. 4-7 panels: one attack
+// over the mnist (LeNet-5) or cifar (AlexNet) multiplier set.
 func gridBench(b *testing.B, key, attackName string, cifar bool, samples int) {
-	var m *modelzoo.Model
-	var victims []core.Victim
-	if cifar {
-		m, victims = cifarVictims(b)
-	} else {
-		m, victims = mnistVictims(b)
+	spec := &experiment.Spec{
+		Model:       "lenet5-digits",
+		Multipliers: []string{"mnist"},
+		Attacks:     []string{attackName},
+		Eps:         paperEps,
+		Samples:     benchSamples(samples),
+		Seed:        7,
 	}
-	atk := attack.ByName(attackName)
-	opts := core.Options{Samples: benchSamples(samples), Seed: 7}
+	if cifar {
+		spec.Model, spec.Multipliers = "alexnet-objects", []string{"cifar"}
+	}
+	loadModels(b, spec.Model)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := sweep(b, m.Net, victims, m.Test, atk, paperEps, opts)
+		g := runSpec(b, spec).Grids[0]
 		loss, victim, eps := g.MaxAccuracyLoss()
 		b.ReportMetric(loss, "max-acc-loss-%")
 		emit(b, key, fmt.Sprintf("%s-> max accuracy loss %.0f%% on %s at eps=%g\n", g, loss, victim, eps))
@@ -131,31 +133,19 @@ func gridBench(b *testing.B, key, attackName string, cifar bool, samples int) {
 
 // ---- E1: Fig. 1 motivational study ----
 
+// BenchmarkFig1_Motivation runs testdata/specs/fig1-lenet5.json and
+// fig1-ffnn.json at the bench sample count.
 func BenchmarkFig1_Motivation(b *testing.B) {
-	lenet, err := modelzoo.Get("lenet5-digits")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ffnn, err := modelzoo.Get("ffnn-digits")
-	if err != nil {
-		b.Fatal(err)
-	}
-	lv, err := core.BuildAxVictims(lenet.Net, lenet.Test, []string{"mul8u_1JFF", "mul8u_17KS"}, axnn.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fv, err := core.BuildAxVictims(ffnn.Net, ffnn.Test, []string{"mul8u_1JFF", "mul8u_L1G"}, axnn.Options{ApproxDense: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := core.Options{Samples: benchSamples(150), Seed: 11}
+	lenetSpec := loadSpec(b, "fig1-lenet5.json", 150)
+	ffnnSpec := loadSpec(b, "fig1-ffnn.json", 150)
+	loadModels(b, lenetSpec.Model, ffnnSpec.Model)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		lenet := runSpec(b, lenetSpec)
+		ffnn := runSpec(b, ffnnSpec)
 		var out string
-		for _, atk := range []attack.Attack{attack.ByName("PGD-linf"), attack.ByName("CR-l2")} {
-			gl := sweep(b, lenet.Net, lv, lenet.Test, atk, paperEps, opts)
-			gf := sweep(b, ffnn.Net, fv, ffnn.Test, atk, paperEps, opts)
-			out += fmt.Sprintf("[LeNet-5] %s[FFNN] %s", gl, gf)
+		for gi, gl := range lenet.Grids {
+			out += fmt.Sprintf("[LeNet-5] %s[FFNN] %s", gl, ffnn.Grids[gi])
 		}
 		emit(b, "Fig1 motivational study (PGD-linf defensive, CR-l2 not)", out)
 	}
@@ -199,28 +189,22 @@ func BenchmarkFig7d_RAULinf(b *testing.B) {
 
 // ---- E13: Fig. 8 — quantized vs float accurate LeNet-5, all attacks ----
 
+// BenchmarkFig8_Quantization runs testdata/specs/fig8.json at the
+// bench sample count.
 func BenchmarkFig8_Quantization(b *testing.B) {
-	m, err := modelzoo.Get("lenet5-digits")
-	if err != nil {
-		b.Fatal(err)
-	}
-	victims, err := core.QuantPair(m.Net, m.Test, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := core.Options{Samples: benchSamples(150), Seed: 5}
+	spec := loadSpec(b, "fig8.json", 150)
+	loadModels(b, spec.Model)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var out string
 		var qWins, total int
-		for _, atk := range attack.TableI() {
-			g := sweep(b, m.Net, victims, m.Test, atk, paperEps, opts)
+		for _, g := range runSpec(b, spec).Grids {
+			// The exact design's column is the 8-bit quantized accurate
+			// DNN.
+			g.Victims[1] = "q8"
 			out += g.String()
-			q, qok := g.Column(victims[1].Name)
-			f, fok := g.Column("float")
-			if !qok || !fok {
-				b.Fatalf("grid missing quantized/float column: %v", g.Victims)
-			}
+			f, _ := g.Column(experiment.FloatVictim)
+			q, _ := g.Column("q8")
 			for j := range q {
 				total++
 				if q[j] >= f[j] {
@@ -242,9 +226,7 @@ func BenchmarkTable2_Transferability(b *testing.B) {
 		{"lenet5-digits32", "alexnet-digits", "digits"},
 		{"lenet5-objects", "alexnet-objects", "objects"},
 	}
-	// Each (source, victim) cell is a victim_model spec on one engine
-	// over benchCache.
-	eng := experiment.New(experiment.WithCache(benchCache))
+	// Each (source, victim) cell is a victim_model spec.
 	samples := benchSamples(150)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -260,7 +242,7 @@ func BenchmarkTable2_Transferability(b *testing.B) {
 				{fam.alex, fam.lenet, "AccAlx -> AxL5 "},
 				{fam.alex, fam.alex, "AccAlx -> AxAlx"},
 			} {
-				rep, err := eng.Run(context.Background(), &experiment.Spec{
+				g := runSpec(b, &experiment.Spec{
 					Model:       cell.src,
 					VictimModel: cell.vic,
 					Multipliers: []string{mult[cell.vic]},
@@ -268,11 +250,7 @@ func BenchmarkTable2_Transferability(b *testing.B) {
 					Eps:         []float64{0, 0.05},
 					Samples:     samples,
 					Seed:        17,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				g := rep.Grids[0]
+				}).Grids[0]
 				out += fmt.Sprintf("%s [%s]: %3.0f/%-3.0f\n", cell.tag, fam.label, g.Acc[0][0], g.Acc[1][0])
 			}
 		}
@@ -302,11 +280,18 @@ func BenchmarkMultiplierMetrics(b *testing.B) {
 // the energy saved by each approximate design against the robustness
 // it costs under the strongest attack at a small budget.
 func BenchmarkEnergyRobustnessTradeoff(b *testing.B) {
-	m, victims := mnistVictims(b)
-	opts := core.Options{Samples: benchSamples(150), Seed: 7}
+	spec := &experiment.Spec{
+		Model:       "lenet5-digits",
+		Multipliers: []string{"mnist"},
+		Attacks:     []string{"BIM-linf"},
+		Eps:         []float64{0, 0.05},
+		Samples:     benchSamples(150),
+		Seed:        7,
+	}
+	loadModels(b, spec.Model)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := sweep(b, m.Net, victims, m.Test, attack.ByName("BIM-linf"), []float64{0, 0.05}, opts)
+		g := runSpec(b, spec).Grids[0]
 		acc := map[string]float64{}
 		for vi, name := range g.Victims {
 			acc[name] = g.Acc[1][vi]
@@ -327,77 +312,85 @@ func BenchmarkEnergyRobustnessTradeoff(b *testing.B) {
 
 // BenchmarkAblationZeroPoint shows the exact zero-point correction is
 // load-bearing: without it, even the exact-multiplier engine collapses.
+// No spec field drops the correction, and the grid is a single eps=0
+// row, so the two compiled networks' clean predictions are scored
+// directly.
 func BenchmarkAblationZeroPoint(b *testing.B) {
 	m, err := modelzoo.Get("lenet5-digits")
 	if err != nil {
 		b.Fatal(err)
 	}
-	withZP, err := core.BuildAxVictims(m.Net, m.Test, []string{"mul8u_1JFF"}, axnn.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	withoutZP, err := core.BuildAxVictims(m.Net, m.Test, []string{"mul8u_1JFF"}, axnn.Options{NoZeroPointCorrection: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	victims := []core.Victim{
-		{Name: "zp-corrected", Factory: withZP[0].Factory},
-		{Name: "no-zp", Factory: withoutZP[0].Factory},
-	}
-	opts := core.Options{Samples: benchSamples(150), Seed: 3}
+	test := m.Test.Slice(benchSamples(150))
+	clean := tensor.Stack(test.X)
+	g := &core.Grid{Attack: "FGM-linf", Dataset: m.Test.Name, Eps: []float64{0}, Victims: []string{"zp-corrected", "no-zp"}, Acc: [][]float64{nil}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := sweep(b, m.Net, victims, m.Test, attack.ByName("FGM-linf"), []float64{0}, opts)
+		g.Acc[0] = g.Acc[0][:0]
+		for _, opts := range []axnn.Options{{}, {NoZeroPointCorrection: true}} {
+			v, err := benchCache.AxVictims(m.Net, m.Test, []string{"mul8u_1JFF"}, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			preds, _, err := benchCache.Predictions(context.Background(), v[0].Factory(), clean, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.Acc[0] = append(g.Acc[0], core.Robustness(preds, test.Y))
+		}
 		emit(b, "Ablation: zero-point correction", g.String())
 	}
 }
 
-// BenchmarkAblationQuantBits sweeps the Qlevel (8/6/4 bits).
+// ablationSpec is the one-design LeNet-5 suite the compile-option
+// ablations run once per configuration.
+func ablationSpec(mult, atk string, eps []float64) *experiment.Spec {
+	return &experiment.Spec{
+		Model:       "lenet5-digits",
+		Multipliers: []string{mult},
+		Attacks:     []string{atk},
+		Eps:         eps,
+		Samples:     benchSamples(150),
+		Seed:        3,
+	}
+}
+
+// BenchmarkAblationQuantBits sweeps the Qlevel (8/6/4 bits), one grid
+// per width.
 func BenchmarkAblationQuantBits(b *testing.B) {
-	m, err := modelzoo.Get("lenet5-digits")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var victims []core.Victim
-	for _, bits := range []uint{8, 6, 4} {
-		v, err := core.BuildAxVictims(m.Net, m.Test, []string{"mul8u_1JFF"}, axnn.Options{Bits: bits})
-		if err != nil {
-			b.Fatal(err)
-		}
-		victims = append(victims, core.Victim{Name: fmt.Sprintf("q%d", bits), Factory: v[0].Factory})
-	}
-	opts := core.Options{Samples: benchSamples(150), Seed: 3}
+	loadModels(b, "lenet5-digits")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := sweep(b, m.Net, victims, m.Test, attack.ByName("PGD-linf"), []float64{0, 0.1, 0.2}, opts)
-		emit(b, "Ablation: quantization bit width", g.String())
+		out := ""
+		for _, bits := range []uint{8, 6, 4} {
+			spec := ablationSpec("mul8u_1JFF", "PGD-linf", []float64{0, 0.1, 0.2})
+			spec.Bits = bits
+			g := runSpec(b, spec).Grids[0]
+			g.Victims[0] = fmt.Sprintf("q%d", bits)
+			out += g.String()
+		}
+		emit(b, "Ablation: quantization bit width", out)
 	}
 }
 
 // BenchmarkAblationDenseApprox measures the extra damage of routing
-// dense layers through the approximate multiplier too.
+// dense layers through the approximate multiplier too, one grid per
+// routing.
 func BenchmarkAblationDenseApprox(b *testing.B) {
-	m, err := modelzoo.Get("lenet5-digits")
-	if err != nil {
-		b.Fatal(err)
-	}
-	convOnly, err := core.BuildAxVictims(m.Net, m.Test, []string{"mul8u_FTA"}, axnn.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	convDense, err := core.BuildAxVictims(m.Net, m.Test, []string{"mul8u_FTA"}, axnn.Options{ApproxDense: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	victims := []core.Victim{
-		{Name: "conv-only", Factory: convOnly[0].Factory},
-		{Name: "conv+dense", Factory: convDense[0].Factory},
-	}
-	opts := core.Options{Samples: benchSamples(150), Seed: 3}
+	loadModels(b, "lenet5-digits")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := sweep(b, m.Net, victims, m.Test, attack.ByName("BIM-linf"), []float64{0, 0.1}, opts)
-		emit(b, "Ablation: approximate dense layers (FTA)", g.String())
+		out := ""
+		for _, c := range []struct {
+			label string
+			dense bool
+		}{{"conv-only", false}, {"conv+dense", true}} {
+			spec := ablationSpec("mul8u_FTA", "BIM-linf", []float64{0, 0.1})
+			spec.ApproxDense = c.dense
+			g := runSpec(b, spec).Grids[0]
+			g.Victims[0] = c.label
+			out += g.String()
+		}
+		emit(b, "Ablation: approximate dense layers (FTA)", out)
 	}
 }
 

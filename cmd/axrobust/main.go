@@ -50,7 +50,7 @@ func main() {
 	specPath := flag.String("spec", "", "run the suite declared in this JSON spec file")
 	model := flag.String("model", "lenet5-digits", "trained model: "+strings.Join(modelzoo.Names(), ", "))
 	atkNames := flag.String("attack", "BIM-linf", "comma-separated attack names, from: "+strings.Join(attack.Names(), ", "))
-	mults := flag.String("mults", "mnist", `multiplier set: "mnist", "cifar", or comma-separated names`)
+	mults := flag.String("mults", "mnist", `multiplier set: "mnist", "cifar", or comma-separated names ("float" adds the float network's column)`)
 	epsList := flag.String("eps", "0,0.05,0.1,0.15,0.2,0.25,0.5,1,1.5,2", "comma-separated perturbation budgets")
 	n := flag.Int("n", 300, "test samples")
 	seed := flag.Int64("seed", 7, "attack randomness seed")

@@ -7,6 +7,11 @@
 // under an linf PGD attack — their curves sit above the accurate
 // model's — yet lose that advantage under an l2 contrast-reduction
 // attack, where the approximate FFNN falls below its accurate twin.
+// The two suites are the checked-in testdata/specs/fig1-lenet5.json
+// (accurate quantized vs Ax17KS in the conv layers) and fig1-ffnn.json
+// (FFNN has no conv layers, so the dense products use the L1G
+// mirror-adder array design, the paper's FFNN study). Run it from the
+// repository root:
 //
 //	go run ./examples/defensive_approximation
 package main
@@ -16,52 +21,35 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/attack"
-	"repro/internal/axnn"
 	"repro/internal/core"
-	"repro/internal/modelzoo"
+	"repro/internal/experiment"
 )
 
 func main() {
-	eps := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1, 1.5, 2}
-
-	// LeNet-5: accurate quantized vs Ax17KS (conv multipliers).
-	lenet, err := modelzoo.Get("lenet5-digits")
+	lenet, err := experiment.Load("testdata/specs/fig1-lenet5.json")
 	if err != nil {
 		log.Fatal(err)
 	}
-	lenetVictims, err := core.BuildAxVictims(lenet.Net, lenet.Test,
-		[]string{"mul8u_1JFF", "mul8u_17KS"}, axnn.Options{})
+	ffnn, err := experiment.Load("testdata/specs/fig1-ffnn.json")
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// FFNN has no conv layers: approximate the dense products instead
-	// (the paper's FFNN study), with the L1G mirror-adder array design.
-	ffnn, err := modelzoo.Get("ffnn-digits")
-	if err != nil {
-		log.Fatal(err)
-	}
-	ffnnVictims, err := core.BuildAxVictims(ffnn.Net, ffnn.Test,
-		[]string{"mul8u_1JFF", "mul8u_L1G"}, axnn.Options{ApproxDense: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	ctx := context.Background()
-	cache := core.NewCache(core.CacheConfig{})
-	opts := core.Options{Samples: 200, Seed: 11}
-	for _, atk := range []attack.Attack{attack.ByName("PGD-linf"), attack.ByName("CR-l2")} {
-		fmt.Printf("=== %s ===\n", atk.Name())
-		gl, err := cache.RobustnessGrid(ctx, lenet.Net, lenetVictims, lenet.Test, atk, eps, opts)
+	// Both suites run one attack at a time on one engine, so each
+	// attack's pair of grids prints as soon as it is scored.
+	eng := experiment.New()
+	grid := func(spec *experiment.Spec, atk string) *core.Grid {
+		one := *spec
+		one.Attacks = []string{atk}
+		rep, err := eng.Run(context.Background(), &one)
 		if err != nil {
 			log.Fatal(err)
 		}
+		return rep.Grids[0]
+	}
+	for _, atk := range lenet.Attacks {
+		gl, gf := grid(lenet, atk), grid(ffnn, atk)
+		fmt.Printf("=== %s ===\n", atk)
 		fmt.Printf("[LeNet-5]\n%s", gl)
-		gf, err := cache.RobustnessGrid(ctx, ffnn.Net, ffnnVictims, ffnn.Test, atk, eps, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("[FFNN]\n%s", gf)
 		summarize(gl, "17KS")
 		summarize(gf, "L1G")

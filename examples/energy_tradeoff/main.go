@@ -12,11 +12,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/attack"
-	"repro/internal/axmult"
-	"repro/internal/axnn"
-	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/experiment"
 	"repro/internal/modelzoo"
 	"repro/internal/nn"
 )
@@ -26,16 +23,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	victims, err := core.BuildAxVictims(m.Net, m.Test, axmult.MNISTSet(), axnn.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
 	const eps = 0.05
-	g, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(context.Background(), m.Net, victims, m.Test,
-		attack.ByName("BIM-linf"), []float64{0, eps}, core.Options{Samples: 200, Seed: 7})
+	rep, err := experiment.New().Run(context.Background(), &experiment.Spec{
+		Model:       "lenet5-digits",
+		Multipliers: []string{"mnist"},
+		Attacks:     []string{"BIM-linf"},
+		Eps:         []float64{0, eps},
+		Samples:     200,
+		Seed:        7,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	g := rep.Grids[0]
 
 	macs := lenetMACs(m.Net)
 	fmt.Printf("LeNet-5: %d conv MACs + %d dense MACs per inference\n\n", macs.Conv, macs.Dense)

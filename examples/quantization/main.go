@@ -11,43 +11,37 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/attack"
-	"repro/internal/axnn"
-	"repro/internal/core"
-	"repro/internal/modelzoo"
+	"repro/internal/experiment"
 )
 
 func main() {
-	m, err := modelzoo.Get("lenet5-digits")
-	if err != nil {
-		log.Fatal(err)
-	}
-	victims, err := core.QuantPair(m.Net, m.Test, 8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Add the quantized+approximate victim (Section IV-D's third column).
-	ax, err := core.BuildAxVictims(m.Net, m.Test, []string{"mul8u_L40"}, axnn.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	victims = append(victims, ax...)
-
+	// The float network, the quantized accurate DNN (the exact design)
+	// and the quantized+approximate victim (Section IV-D's third column).
 	eps := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.5}
-	cache := core.NewCache(core.CacheConfig{})
-	opts := core.Options{Samples: 200, Seed: 5}
-	for _, name := range []string{"PGD-linf", "BIM-linf", "FGM-linf"} {
-		g, err := cache.RobustnessGrid(context.Background(), m.Net, victims, m.Test, attack.ByName(name), eps, opts)
+	spec := &experiment.Spec{
+		Model:       "lenet5-digits",
+		Multipliers: []string{experiment.FloatVictim, "mul8u_1JFF", "mul8u_L40"},
+		Attacks:     []string{"PGD-linf", "BIM-linf", "FGM-linf"},
+		Eps:         eps,
+		Samples:     200,
+		Seed:        5,
+	}
+	// One attack at a time on one engine, so each grid prints as soon
+	// as it is scored.
+	eng := experiment.New()
+	for _, atk := range spec.Attacks {
+		one := *spec
+		one.Attacks = []string{atk}
+		rep, err := eng.Run(context.Background(), &one)
 		if err != nil {
 			log.Fatal(err)
 		}
+		g := rep.Grids[0]
+		g.Victims[1] = "q8"
 		fmt.Print(g)
-		q, _ := g.Column(g.Victims[1])
-		f, fok := g.Column("float")
-		a, aok := g.Column("mul8u_L40")
-		if !fok || !aok {
-			log.Fatalf("grid missing expected columns: %v", g.Victims)
-		}
+		f, _ := g.Column(experiment.FloatVictim)
+		q, _ := g.Column("q8")
+		a, _ := g.Column("mul8u_L40")
 		qHelps, axHurts := 0, 0
 		for i := range q {
 			if q[i] >= f[i] {

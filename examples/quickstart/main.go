@@ -9,11 +9,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/attack"
 	"repro/internal/axmult"
 	"repro/internal/axnn"
-	"repro/internal/core"
 	"repro/internal/errmodel"
+	"repro/internal/experiment"
 	"repro/internal/modelzoo"
 )
 
@@ -43,20 +42,22 @@ func main() {
 	fmt.Printf("sample 0: label %d, quantized-accurate says %d, AxDNN(JV3) says %d\n",
 		m.Test.Y[0], q.Predict(x), axdnn.Predict(x))
 
-	// 4. Run Algorithm 1: craft PGD-linf examples on the accurate float
-	// model, replay them on both victims.
-	grid, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(
-		context.Background(),
-		m.Net,
-		[]core.Victim{core.NewVictim("q8-accurate", q), core.NewVictim("AxDNN-JV3", axdnn)},
-		m.Test,
-		attack.ByName("PGD-linf"),
-		[]float64{0, 0.05, 0.1, 0.2},
-		core.Options{Samples: 150, Seed: 1},
-	)
+	// 4. Run Algorithm 1 as a one-attack spec: craft PGD-linf examples
+	// on the accurate float model, replay them on both victims (the
+	// exact design is the quantized accurate network above).
+	rep, err := experiment.New().Run(context.Background(), &experiment.Spec{
+		Model:       "lenet5-digits",
+		Multipliers: []string{"mul8u_1JFF", "mul8u_JV3"},
+		Attacks:     []string{"PGD-linf"},
+		Eps:         []float64{0, 0.05, 0.1, 0.2},
+		Samples:     150,
+		Seed:        1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	grid := rep.Grids[0]
+	grid.Victims = []string{"q8-accurate", "AxDNN-JV3"}
 	fmt.Println()
 	fmt.Print(grid)
 	loss, victim, eps := grid.MaxAccuracyLoss()

@@ -10,19 +10,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/attack"
 	"repro/internal/axmult"
-	"repro/internal/axnn"
-	"repro/internal/core"
 	"repro/internal/errmodel"
-	"repro/internal/modelzoo"
+	"repro/internal/experiment"
 )
 
 func main() {
-	m, err := modelzoo.Get("lenet5-digits")
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("multiplier error profiles (the paper's M1..M9):")
 	for i, name := range axmult.MNISTSet() {
 		met, err := errmodel.MeasureNamed(name)
@@ -33,18 +26,25 @@ func main() {
 	}
 	fmt.Println()
 
-	victims, err := core.BuildAxVictims(m.Net, m.Test, axmult.MNISTSet(), axnn.Options{})
-	if err != nil {
-		log.Fatal(err)
+	spec := &experiment.Spec{
+		Model:       "lenet5-digits",
+		Multipliers: []string{"mnist"},
+		Attacks:     []string{"BIM-linf", "RAU-linf"},
+		Eps:         []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1, 1.5, 2},
+		Samples:     200,
+		Seed:        7,
 	}
-	eps := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1, 1.5, 2}
-	cache := core.NewCache(core.CacheConfig{})
-	opts := core.Options{Samples: 200, Seed: 7}
-	for _, name := range []string{"BIM-linf", "RAU-linf"} {
-		g, err := cache.RobustnessGrid(context.Background(), m.Net, victims, m.Test, attack.ByName(name), eps, opts)
+	// One attack at a time on one engine, so each grid prints as soon
+	// as it is scored.
+	eng := experiment.New()
+	for _, atk := range spec.Attacks {
+		one := *spec
+		one.Attacks = []string{atk}
+		rep, err := eng.Run(context.Background(), &one)
 		if err != nil {
 			log.Fatal(err)
 		}
+		g := rep.Grids[0]
 		fmt.Print(g)
 		loss, victim, at := g.MaxAccuracyLoss()
 		fmt.Printf("-> max loss %.0f%% on %s at eps=%g\n\n", loss, victim, at)

@@ -2,15 +2,16 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro"
-	"repro/internal/attack"
-	"repro/internal/axmult"
-	"repro/internal/axnn"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/experiment"
 	"repro/internal/models"
+	"repro/internal/modelzoo"
+	"repro/internal/nn"
 	"repro/internal/train"
 )
 
@@ -35,17 +36,19 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	mults := []string{"mul8u_1JFF", "mul8u_17KS", "mul8u_L40"}
-	victims, err := core.BuildAxVictims(net, testSet, mults, axnn.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	eps := []float64{0, 0.1, 0.25}
-	grid, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(context.Background(), net, victims, testSet,
-		attack.ByName("BIM-linf"), eps, core.Options{Samples: 120, Seed: 2})
+	rep, err := experiment.New(experiment.WithModelSource(serve(net, testSet))).Run(context.Background(), &experiment.Spec{
+		Model:       net.Name,
+		Multipliers: mults,
+		Attacks:     []string{"BIM-linf"},
+		Eps:         eps,
+		Samples:     120,
+		Seed:        2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	grid := rep.Grids[0]
 
 	// Clean row: quantized accurate within a few points of float.
 	if diff := 100*floatAcc - grid.Acc[0][0]; diff > 6 || diff < -6 {
@@ -79,27 +82,38 @@ func TestAlgorithmOneAmortization(t *testing.T) {
 	net.Name = "e2e-ffnn"
 	train.Fit(net, trainSet, train.Config{Epochs: 2, Batch: 32, LR: 0.05, Momentum: 0.9, Seed: 3})
 
-	q, err := axnn.Compile(net, testSet.Inputs(32), axnn.Options{})
-	if err != nil {
-		t.Fatal(err)
+	// Separate engines, so separate caches: the second sweep re-crafts,
+	// so equal columns show the crafted inputs do not depend on the
+	// victim set.
+	run := func(mults ...string) *core.Grid {
+		rep, err := experiment.New(experiment.WithModelSource(serve(net, testSet))).Run(context.Background(), &experiment.Spec{
+			Model:       net.Name,
+			Multipliers: mults,
+			Attacks:     []string{"FGM-linf"},
+			Eps:         []float64{0.1},
+			Samples:     100,
+			Seed:        4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Grids[0]
 	}
-	// Separate caches: the second sweep re-crafts, so equal columns
-	// show the crafted inputs do not depend on the victim set.
-	ctx := context.Background()
-	single, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(ctx, net,
-		[]core.Victim{core.NewVictim("q", q)},
-		testSet, attack.ByName("FGM-linf"), []float64{0.1}, core.Options{Samples: 100, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	double, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(ctx, net,
-		[]core.Victim{core.NewVictim("other", q.WithMultiplier(axmult.MustLookup("mul8u_JV3"))), core.NewVictim("q", q)},
-		testSet, attack.ByName("FGM-linf"), []float64{0.1}, core.Options{Samples: 100, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := run("mul8u_1JFF")
+	double := run("mul8u_JV3", "mul8u_1JFF")
 	if single.Acc[0][0] != double.Acc[0][1] {
 		t.Fatalf("victim set changed the crafted attacks: %f vs %f", single.Acc[0][0], double.Acc[0][1])
+	}
+}
+
+// serve is a model source holding one in-test network, so the engine
+// runs it without the model zoo.
+func serve(net *nn.Network, test *dataset.Set) func(context.Context, string) (*modelzoo.Model, error) {
+	return func(_ context.Context, name string) (*modelzoo.Model, error) {
+		if name != net.Name {
+			return nil, fmt.Errorf("unknown model %q", name)
+		}
+		return &modelzoo.Model{Net: net, Test: test}, nil
 	}
 }
 

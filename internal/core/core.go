@@ -24,22 +24,21 @@
 // read through one coalesced lookup, and a new memoised artifact is a
 // memo too.
 //
-// Every sweep runs against an explicit Cache (NewCache): the single
-// grid of Cache.RobustnessGrid here, whole declared suites (many
-// attacks, one spec, streaming progress, sharding, the Table II
-// transfer cells) one level up in internal/experiment. There is no
+// The sweep itself has one driver, one level up: internal/experiment
+// compiles a declared suite (many attacks, one spec, streaming
+// progress, sharding, the Table II transfer cells, Fig. 8's float
+// column) into cells and scores each through an explicit Cache
+// (NewCache) with CraftedBatch and Predictions. There is no
 // process-global cache, so two callers never interfere, and the
 // crafting/prediction worker loops observe context cancellation.
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
 
 	"repro/internal/attack"
-	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -56,16 +55,11 @@ type Victim struct {
 	Factory func() attack.Model
 }
 
-// NewVictim wraps a concurrency-safe model (e.g. a compiled axnn
-// network) as a victim.
+// NewVictim wraps a concurrency-safe model as a victim: a compiled
+// axnn network, or a float nn network, whose inference is stateless
+// and so is shared as-is, with no per-worker cloning.
 func NewVictim(name string, m attack.Model) Victim {
 	return Victim{Name: name, Factory: func() attack.Model { return m }}
-}
-
-// NewFloatVictim wraps a float nn network. Inference on nn networks is
-// stateless, so the network is shared as-is — no per-worker cloning.
-func NewFloatVictim(name string, n *nn.Network) Victim {
-	return Victim{Name: name, Factory: func() attack.Model { return n }}
 }
 
 // Options tunes a robustness evaluation.
@@ -123,55 +117,6 @@ type Grid struct {
 	Victims []string  `json:"victims"`
 	// Acc[ei][vi] is the percentage robustness of victim vi at Eps[ei].
 	Acc [][]float64 `json:"acc"`
-}
-
-// RobustnessGrid runs Algorithm 1 for one attack: for every budget in
-// eps, craft adversarial examples on the accurate source model (or
-// recall them from c) and evaluate every victim on them. It returns
-// ctx.Err() promptly — at the next crafting/evaluation chunk boundary
-// — when ctx is cancelled, leaking no goroutines and memoising no
-// partial results.
-func (c *Cache) RobustnessGrid(ctx context.Context, src *nn.Network, victims []Victim, set *dataset.Set, atk attack.Attack, eps []float64, opts Options) (*Grid, error) {
-	test := set.Slice(opts.Samples)
-	g := &Grid{
-		Attack:  atk.Name(),
-		Dataset: set.Name,
-		Eps:     append([]float64(nil), eps...),
-		Acc:     make([][]float64, len(eps)),
-	}
-	models := make([]attack.Model, len(victims))
-	for i, v := range victims {
-		g.Victims = append(g.Victims, v.Name)
-		models[i] = v.Factory()
-	}
-	if test.Len() == 0 {
-		// Degenerate sweep: no samples to craft or score.
-		for ei := range eps {
-			row := make([]float64, len(victims))
-			for i := range row {
-				row[i] = math.NaN()
-			}
-			g.Acc[ei] = row
-		}
-		return g, nil
-	}
-	target := NewCraftTarget(src, test, atk)
-	for ei, e := range eps {
-		adv, _, err := c.CraftedBatch(ctx, target, e, opts)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, len(models))
-		for vi, m := range models {
-			preds, _, err := c.Predictions(ctx, m, adv, opts)
-			if err != nil {
-				return nil, err
-			}
-			row[vi] = Robustness(preds, test.Y)
-		}
-		g.Acc[ei] = row
-	}
-	return g, nil
 }
 
 // Robustness scores predictions against labels as the paper's

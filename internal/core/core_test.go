@@ -37,18 +37,46 @@ func getFixture(t *testing.T) *fixture {
 	return fix
 }
 
-// mustGrid runs c.RobustnessGrid on a background context, which never
-// cancels, so any error fails the test.
+// sweep is the tests' single-grid Algorithm 1 driver: for every
+// budget, the crafted batch through c, then every victim's
+// predictions through c.
+func sweep(ctx context.Context, c *Cache, src *nn.Network, victims []Victim, set *dataset.Set, atk attack.Attack, eps []float64, opts Options) (*Grid, error) {
+	test := set.Slice(opts.Samples)
+	target := NewCraftTarget(src, test, atk)
+	g := &Grid{Attack: atk.Name(), Dataset: set.Name, Eps: eps}
+	for _, v := range victims {
+		g.Victims = append(g.Victims, v.Name)
+	}
+	for _, e := range eps {
+		adv, _, err := c.CraftedBatch(ctx, target, e, opts)
+		if err != nil {
+			return nil, err
+		}
+		row := make([]float64, len(victims))
+		for vi, v := range victims {
+			preds, _, err := c.Predictions(ctx, v.Factory(), adv, opts)
+			if err != nil {
+				return nil, err
+			}
+			row[vi] = Robustness(preds, test.Y)
+		}
+		g.Acc = append(g.Acc, row)
+	}
+	return g, nil
+}
+
+// mustGrid runs sweep on a background context, which never cancels,
+// so any error fails the test.
 func mustGrid(t *testing.T, c *Cache, src *nn.Network, victims []Victim, set *dataset.Set, atk attack.Attack, eps []float64, opts Options) *Grid {
 	t.Helper()
-	g, err := c.RobustnessGrid(context.Background(), src, victims, set, atk, eps, opts)
+	g, err := sweep(context.Background(), c, src, victims, set, atk, eps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-func TestRobustnessGridShapeAndBaseline(t *testing.T) {
+func TestGridShapeAndBaseline(t *testing.T) {
 	f := getFixture(t)
 	victims, err := BuildAxVictims(f.net, f.test, []string{"mul8u_1JFF", "mul8u_JV3"}, axnn.Options{})
 	if err != nil {
@@ -455,17 +483,6 @@ func TestBuildAxVictimsUnknownMultiplier(t *testing.T) {
 	}
 }
 
-func TestQuantPair(t *testing.T) {
-	f := getFixture(t)
-	pair, err := QuantPair(f.net, f.test, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pair) != 2 || pair[0].Name != "float" || pair[1].Name != "q8" {
-		t.Fatalf("QuantPair = %v", []string{pair[0].Name, pair[1].Name})
-	}
-}
-
 func TestCacheIsolation(t *testing.T) {
 	// Two caches over the same cells never observe each other's
 	// entries — the property that lets two engines coexist in one
@@ -492,7 +509,7 @@ func TestCacheIsolation(t *testing.T) {
 	}
 }
 
-func TestRobustnessGridCtxCancellation(t *testing.T) {
+func TestGridCtxCancellation(t *testing.T) {
 	f := getFixture(t)
 	victims, err := BuildAxVictims(f.net, f.test, []string{"mul8u_1JFF"}, axnn.Options{})
 	if err != nil {
@@ -501,7 +518,7 @@ func TestRobustnessGridCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := NewCache(CacheConfig{})
-	g, err := c.RobustnessGrid(ctx, f.net, victims, f.test, attack.ByName("PGD-linf"), []float64{0.1, 0.2}, Options{Samples: 40, Seed: 11})
+	g, err := sweep(ctx, c, f.net, victims, f.test, attack.ByName("PGD-linf"), []float64{0.1, 0.2}, Options{Samples: 40, Seed: 11})
 	if g != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned (%v, %v), want (nil, context.Canceled)", g, err)
 	}

@@ -367,12 +367,14 @@ func TestAxVictimsMatchFreshBuild(t *testing.T) {
 			t.Fatalf("%s: memoised victim predicts %v, fresh %v", name, got, want)
 		}
 	}
-	pair, err := QuantPair(f.net, f.test, 8)
+	// The quantized accurate DNN: an explicit 8-bit compile on the
+	// default (exact) multiplier.
+	q8, err := axnn.Compile(f.net, f.test.Inputs(calibSamples), axnn.Options{Bits: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact := slices.Index(names, "mul8u_1JFF")
-	if got, want := predict(memo[exact]), predict(pair[1]); !slices.Equal(got, want) {
+	if got, want := predict(memo[exact]), predict(NewVictim("q8", q8)); !slices.Equal(got, want) {
 		t.Fatalf("memoised exact design predicts %v, quantized accurate %v", got, want)
 	}
 }

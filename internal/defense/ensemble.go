@@ -49,38 +49,22 @@ func BuildEnsemble(c *core.Cache, src *nn.Network, calib *dataset.Set, pool []st
 		return nil, err
 	}
 	members := make([]attack.Model, len(victims))
+	keys := make([]string, len(victims))
 	for i, v := range victims {
 		members[i] = v.Factory()
+		keys[i] = members[i].(*axnn.Network).ModelKey()
 	}
 	return &Ensemble{
 		name: fmt.Sprintf("ensemble[%d]", len(pool)),
-		// The key folds everything the member behaviour depends on —
-		// pool, source weights, quantization, and the calibration
-		// samples the quantization ranges were derived from — plus the
-		// draw seed, so crafted-example and prediction caches never
-		// conflate two ensembles.
-		key: fmt.Sprintf("ensemble[%s|src=%s/%016x|calib=%016x|bits=%d|dense=%t|seed=%d]",
-			strings.Join(pool, ","), src.Name, src.WeightsFingerprint(), calibFingerprint(calib), opts.Bits, opts.ApproxDense, seed),
+		// The members' ModelKeys, in pool order, fold everything their
+		// behaviour depends on (source weights, calibration samples,
+		// quantization, dense and zero-point switches, multiplier), as
+		// the compile computed it; with the draw seed, crafted-example
+		// and prediction caches never conflate two ensembles.
+		key:  fmt.Sprintf("ensemble[%s|seed=%d]", strings.Join(keys, ","), seed),
 		pool: members,
 		seed: seed,
 	}, nil
-}
-
-// calibFingerprint folds the calibration inputs that axnn.Compile
-// consumes (the first 64 samples — keep in sync with
-// core.BuildAxVictims) into a cheap FNV-style hash: different
-// calibration data yields different quantization ranges, so it must
-// split the ensemble's cache identity.
-func calibFingerprint(calib *dataset.Set) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, x := range calib.Inputs(64) {
-		for _, v := range x.Data {
-			h ^= uint64(math.Float32bits(v))
-			h *= prime
-		}
-	}
-	return h
 }
 
 // Name is the victim column label ("ensemble[<pool size>]").
@@ -145,10 +129,9 @@ func (e *Ensemble) LogitsBatch(xs *tensor.T) *tensor.T {
 	return out
 }
 
-// ModelKey implements core.ModelKeyer: the ensemble's behaviour is
-// fully determined by its key (pool, source fingerprint, quantization,
-// seed), so victim-prediction memos survive across runs that rebuild
-// an identical ensemble instance.
+// ModelKey implements core.ModelKeyer: the key (the members' keys and
+// the seed) fully determines the ensemble's behaviour, so prediction
+// memos survive across runs that rebuild an identical ensemble.
 func (e *Ensemble) ModelKey() string { return e.key }
 
 // SampleModel implements attack.Sampler: one uniform draw from the

@@ -7,6 +7,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/axnn"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/tensor"
 )
 
@@ -93,24 +94,34 @@ func TestEnsembleSampleModelCoversPool(t *testing.T) {
 // change the key crafted-example caches isolate on.
 func TestEnsembleSamplerKeyIsolation(t *testing.T) {
 	m := fixture(t)
-	build := func(pool []string, opts axnn.Options, seed int64) string {
-		e, err := BuildEnsemble(core.NewCache(core.CacheConfig{}), m.Net, m.Test, pool, opts, seed)
+	build := func(calib *dataset.Set, pool []string, opts axnn.Options, seed int64) string {
+		e, err := BuildEnsemble(core.NewCache(core.CacheConfig{}), m.Net, calib, pool, opts, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e.SamplerKey()
 	}
-	base := build(testPool, axnn.Options{ApproxDense: true}, 7)
-	if build(testPool[:2], axnn.Options{ApproxDense: true}, 7) == base {
+	base := build(m.Test, testPool, axnn.Options{ApproxDense: true}, 7)
+	if build(m.Test, testPool[:2], axnn.Options{ApproxDense: true}, 7) == base {
 		t.Fatal("different pools share a sampler key")
 	}
-	if build(testPool, axnn.Options{ApproxDense: true}, 8) == base {
+	if build(m.Test, testPool, axnn.Options{ApproxDense: true}, 8) == base {
 		t.Fatal("different seeds share a sampler key")
 	}
-	if build(testPool, axnn.Options{Bits: 6, ApproxDense: true}, 7) == base {
+	if build(m.Test, testPool, axnn.Options{Bits: 6, ApproxDense: true}, 7) == base {
 		t.Fatal("different quantization shares a sampler key")
 	}
-	if e, _ := BuildEnsemble(core.NewCache(core.CacheConfig{}), m.Net, m.Test, testPool, axnn.Options{ApproxDense: true}, 7); e.SamplerKey() != base {
+	if build(m.Train, testPool, axnn.Options{ApproxDense: true}, 7) == base {
+		t.Fatal("different calibration sets share a sampler key")
+	}
+	if build(m.Test, testPool, axnn.Options{ApproxDense: true, NoZeroPointCorrection: true}, 7) == base {
+		t.Fatal("dropping the zero-point correction keeps the sampler key")
+	}
+	// Bits 0 means 8: the two compile identically, so they share a key.
+	if build(m.Test, testPool, axnn.Options{Bits: 8, ApproxDense: true}, 7) != base {
+		t.Fatal("bits 0 and bits 8 split the sampler key")
+	}
+	if build(m.Test, testPool, axnn.Options{ApproxDense: true}, 7) != base {
 		t.Fatal("identical configuration must reproduce the sampler key")
 	}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/attack"
@@ -101,8 +102,8 @@ func (e *Engine) emit(ev Event) {
 // granularity; Run then returns ctx.Err() with no partial results
 // memoised and no goroutines leaked.
 //
-// The numbers are identical to running Cache.RobustnessGrid once per
-// attack with the same options. The executor — serial or parallel
+// Every paper artefact runs through here, as a spec; there is no
+// second sweep path. The executor — serial or parallel
 // LocalExecutor, or a ShardExecutor farming grids out to peer nodes —
 // only changes where and in what order cells run, never the protocol;
 // every executor assembles the Report through the same plan-order
@@ -149,9 +150,22 @@ func (e *Engine) bind(ctx context.Context, plan *Plan) (*PlanRun, error) {
 		}
 	}
 	qopts := axnn.Options{Bits: spec.Bits, ApproxDense: spec.ApproxDense}
-	victims, err := e.cache.AxVictims(vic.Net, vic.Test, spec.ExpandMultipliers(), qopts)
-	if err != nil {
-		return nil, err
+	// Only the real designs compile (a float-only suite compiles
+	// nothing); the float column, if declared, goes back in at its
+	// place in the list.
+	mults := spec.ExpandMultipliers()
+	fi := slices.Index(mults, FloatVictim)
+	if fi >= 0 {
+		mults = slices.Delete(mults, fi, fi+1)
+	}
+	var victims []core.Victim
+	if len(mults) > 0 {
+		if victims, err = e.cache.AxVictims(vic.Net, vic.Test, mults, qopts); err != nil {
+			return nil, err
+		}
+	}
+	if fi >= 0 {
+		victims = slices.Insert(victims, fi, core.NewVictim(FloatVictim, vic.Net))
 	}
 	test := vic.Test.Slice(spec.Samples)
 	if test.Len() == 0 {
@@ -184,7 +198,7 @@ func (e *Engine) bind(ctx context.Context, plan *Plan) (*PlanRun, error) {
 			if err != nil {
 				return nil, err
 			}
-			victims = append(victims, core.NewFloatVictim(d.AdvTrainVictimName(), hm.Net))
+			victims = append(victims, core.NewVictim(d.AdvTrainVictimName(), hm.Net))
 		}
 		if d.Has(DefenseEnsemble) {
 			ens, err := defense.BuildEnsemble(e.cache, vic.Net, vic.Test, d.ExpandPool(), qopts, spec.Seed)

@@ -4,17 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/defense"
 	"repro/internal/models"
 	"repro/internal/modelzoo"
+	"repro/internal/nn"
+	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -85,14 +91,45 @@ func tinySpec() *Spec {
 	}
 }
 
-// TestEngineMatchesRobustnessGrid is the acceptance criterion: one
-// Run over a multi-attack spec produces grids identical — cell for
-// cell and in MaxAccuracyLoss — to the single-grid
-// core.Cache.RobustnessGrid sweep with the same options.
-func TestEngineMatchesRobustnessGrid(t *testing.T) {
+// referenceAcc restates Algorithm 1 with no cache, as the engine's
+// independent reference: each budget's batch is crafted on src in one
+// call, with the protocol's per-sample streams keyed by (seed, sample,
+// budget) — or one stream per (seed, budget) for set attacks — and
+// every victim scores it in one batch.
+func referenceAcc(src *nn.Network, victims []core.Victim, set *dataset.Set, atk attack.Attack, eps []float64, samples int, seed int64) [][]float64 {
+	test := set.Slice(samples)
+	xs := tensor.Stack(test.X)
+	acc := make([][]float64, len(eps))
+	for ei, e := range eps {
+		epsQ := core.EpsKey(e)
+		var adv *tensor.T
+		if sa, ok := atk.(attack.SetAttack); ok {
+			adv = sa.PerturbSet(context.Background(), src, xs, test.Y, e, rand.New(rand.NewSource(seed*1_000_003+epsQ*7_919)))
+		} else {
+			rngs := make([]*rand.Rand, test.Len())
+			for i := range rngs {
+				rngs[i] = rand.New(rand.NewSource(seed + int64(i)*1_000_003 + epsQ*7_919))
+			}
+			adv = attack.AsBatch(atk).PerturbBatch(src, xs, test.Y, e, rngs)
+		}
+		for _, v := range victims {
+			preds := tensor.ArgMaxRows(v.Factory().(attack.BatchModel).LogitsBatch(adv))
+			acc[ei] = append(acc[ei], core.Robustness(preds, test.Y))
+		}
+	}
+	return acc
+}
+
+// TestEngineMatchesReferenceLoop is the acceptance criterion: one Run
+// over a multi-attack spec, with the float column declared between two
+// designs, produces grids identical — cell for cell, column order and
+// MaxAccuracyLoss — to the cacheless reference loop over freshly
+// compiled victims.
+func TestEngineMatchesReferenceLoop(t *testing.T) {
 	src := fixtureSource(t)
 	eng := New(WithModelSource(src))
 	spec := tinySpec()
+	spec.Multipliers = []string{"mul8u_1JFF", FloatVictim, "mul8u_JV3"}
 	rep, err := eng.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -101,20 +138,22 @@ func TestEngineMatchesRobustnessGrid(t *testing.T) {
 		t.Fatalf("suite produced %d grids, want %d", len(rep.Grids), len(spec.Attacks))
 	}
 	m, _ := src(context.Background(), "tiny-a")
-	victims, err := core.BuildAxVictims(m.Net, m.Test, spec.ExpandMultipliers(), axnnOptions(spec))
+	victims, err := core.BuildAxVictims(m.Net, m.Test, []string{"mul8u_1JFF", "mul8u_JV3"}, axnnOptions(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
+	victims = slices.Insert(victims, 1, core.NewVictim(FloatVictim, m.Net))
 	for i, name := range spec.Attacks {
-		ref, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(context.Background(), m.Net, victims, m.Test,
-			attackByName(t, name), spec.Eps, core.Options{Samples: spec.Samples, Seed: spec.Seed})
-		if err != nil {
-			t.Fatal(err)
+		g := rep.Grids[i]
+		if want := spec.Multipliers; !slices.Equal(g.Victims, want) {
+			t.Fatalf("%s: columns %v, want %v", name, g.Victims, want)
 		}
-		if !reflect.DeepEqual(rep.Grids[i].Acc, ref.Acc) {
-			t.Fatalf("%s: engine grid diverged from RobustnessGrid:\nengine %v\nref    %v", name, rep.Grids[i].Acc, ref.Acc)
+		ref := &core.Grid{Eps: spec.Eps, Victims: g.Victims,
+			Acc: referenceAcc(m.Net, victims, m.Test, attackByName(t, name), spec.Eps, spec.Samples, spec.Seed)}
+		if !reflect.DeepEqual(g.Acc, ref.Acc) {
+			t.Fatalf("%s: engine grid diverged from the reference loop:\nengine %v\nref    %v", name, g.Acc, ref.Acc)
 		}
-		el, ev, ee := rep.Grids[i].MaxAccuracyLoss()
+		el, ev, ee := g.MaxAccuracyLoss()
 		rl, rv, re := ref.MaxAccuracyLoss()
 		if el != rl || ev != rv || ee != re {
 			t.Fatalf("%s: MaxAccuracyLoss diverged: %v/%v/%v vs %v/%v/%v", name, el, ev, ee, rl, rv, re)
@@ -122,6 +161,57 @@ func TestEngineMatchesRobustnessGrid(t *testing.T) {
 	}
 	if len(rep.Cells) != len(spec.Attacks)*len(spec.Eps) {
 		t.Fatalf("report has %d cell timings, want %d", len(rep.Cells), len(spec.Attacks)*len(spec.Eps))
+	}
+}
+
+// TestEngineFloatColumnInvariants asserts the protocol's invariants on
+// the float column over the full test set: its eps=0 cell is the
+// source's clean accuracy (the same count of correct samples), every
+// cell of every grid is a percentage in [0, 100], and a float-only
+// suite compiles nothing.
+func TestEngineFloatColumnInvariants(t *testing.T) {
+	spec := tinySpec()
+	spec.Multipliers = []string{FloatVictim, "mnist"}
+	spec.Samples = 0
+	rep, err := New(WithModelSource(fixtureSource(t))).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := fixtureSource(t)(context.Background(), spec.Model)
+	n := float64(m.Test.Len())
+	for _, g := range rep.Grids {
+		clean, ok := g.At(0, FloatVictim)
+		if !ok {
+			t.Fatalf("%s: no eps=0 float cell in %v", g.Attack, g.Victims)
+		}
+		if got, want := math.Round(clean*n/100), math.Round(rep.CleanAcc*n/100); got != want {
+			t.Fatalf("%s: eps=0 float cell %g%% (%g correct), clean accuracy %g%% (%g correct)", g.Attack, clean, got, rep.CleanAcc, want)
+		}
+		for ei, row := range g.Acc {
+			for vi, v := range row {
+				if !(v >= 0 && v <= 100) {
+					t.Fatalf("%s: cell (%g, %s) = %g outside [0, 100]", g.Attack, g.Eps[ei], g.Victims[vi], v)
+				}
+			}
+		}
+	}
+
+	// A float-only suite compiles no victim and scores the same column.
+	spec.Multipliers = []string{FloatVictim}
+	eng := New(WithModelSource(fixtureSource(t)))
+	alone, err := eng.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Cache().Stats().Compiles; n != 0 {
+		t.Fatalf("float-only suite compiled %d victims", n)
+	}
+	for gi, g := range alone.Grids {
+		got, _ := g.Column(FloatVictim)
+		want, _ := rep.Grids[gi].Column(FloatVictim)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: float-only column %v, with designs %v", g.Attack, got, want)
+		}
 	}
 }
 
@@ -226,7 +316,7 @@ func TestEngineCancellationMidSweep(t *testing.T) {
 
 // TestEngineTransferSuite runs a victim_model spec — crafted on one
 // architecture, replayed on another — and checks it against the
-// direct core path.
+// cacheless reference loop.
 func TestEngineTransferSuite(t *testing.T) {
 	src := fixtureSource(t)
 	spec := tinySpec()
@@ -243,13 +333,9 @@ func TestEngineTransferSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.NewCache(core.CacheConfig{}).RobustnessGrid(context.Background(), a.Net, victims, b.Test,
-		attackByName(t, "FGM-linf"), spec.Eps, core.Options{Samples: spec.Samples, Seed: spec.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep.Grids[0].Acc, ref.Acc) {
-		t.Fatalf("transfer suite diverged from core path:\nengine %v\nref    %v", rep.Grids[0].Acc, ref.Acc)
+	ref := referenceAcc(a.Net, victims, b.Test, attackByName(t, "FGM-linf"), spec.Eps, spec.Samples, spec.Seed)
+	if !reflect.DeepEqual(rep.Grids[0].Acc, ref) {
+		t.Fatalf("transfer suite diverged from the reference loop:\nengine %v\nref    %v", rep.Grids[0].Acc, ref)
 	}
 }
 

@@ -30,7 +30,9 @@ import (
 // Spec declares one evaluation suite. The zero values of optional
 // fields select the same defaults the cmd tools use, so minimal specs
 // stay short. Multiplier entries may be the aliases "mnist" or
-// "cifar", which expand to the paper's Figs. 4-6 / Fig. 7 sets.
+// "cifar", which expand to the paper's Figs. 4-6 / Fig. 7 sets, and
+// the reserved entry "float" (FloatVictim), the victim-side float
+// network itself.
 type Spec struct {
 	// Name labels the suite in reports and progress output.
 	Name string `json:"name,omitempty"`
@@ -44,7 +46,9 @@ type Spec struct {
 	// victim model's test set.
 	VictimModel string `json:"victim_model,omitempty"`
 	// Multipliers are the approximate designs, one victim per entry
-	// ("mnist"/"cifar" expand to the paper's sets).
+	// ("mnist"/"cifar" expand to the paper's sets). At most one entry
+	// may be FloatVictim: a column, at its place in the list, scoring
+	// the non-quantized float network (Fig. 8's baseline).
 	Multipliers []string `json:"multipliers"`
 	// Bits is the victim quantization level (the paper's Qlevel);
 	// 0 means 8.
@@ -74,6 +78,11 @@ type Spec struct {
 	// Batch caps the crafting/evaluation batch size (0 = derived).
 	Batch int `json:"batch,omitempty"`
 }
+
+// FloatVictim is the reserved Multipliers entry, and the column name,
+// of the victim-side float network. The set aliases never expand to
+// it, and it is no multiplier: the defense pool rejects it.
+const FloatVictim = "float"
 
 // AttackParams are the suite-wide knobs of the configurable attack
 // families. Zero values keep the attack's own defaults, so a spec
@@ -280,7 +289,15 @@ func (s *Spec) Validate() error {
 	if len(mults) == 0 {
 		return fmt.Errorf("spec: at least one multiplier is required")
 	}
+	floats := 0
 	for _, m := range mults {
+		if m == FloatVictim {
+			// Two float columns would collide in Grid.Column.
+			if floats++; floats > 1 {
+				return fmt.Errorf("spec: duplicate %q victim", FloatVictim)
+			}
+			continue
+		}
 		if _, err := axmult.Lookup(m); err != nil {
 			return fmt.Errorf("spec: %w", err)
 		}
@@ -358,7 +375,7 @@ func (s *Spec) anyAttack(pred func(attack.Attack) bool) bool {
 
 // ExpandMultipliers resolves the "mnist"/"cifar" set aliases into
 // concrete multiplier names, preserving order and leaving explicit
-// names untouched.
+// names (FloatVictim included) untouched. The result is a fresh slice.
 func (s *Spec) ExpandMultipliers() []string {
 	return expandMultiplierAliases(s.Multipliers)
 }

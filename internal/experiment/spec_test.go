@@ -5,9 +5,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/axmult"
 )
 
 // specsDir locates the checked-in example specs relative to this
@@ -67,6 +69,11 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown attack", func(s *Spec) { s.Attacks = []string{"DeepFool"} }},
 		{"no multipliers", func(s *Spec) { s.Multipliers = nil }},
 		{"unknown multiplier", func(s *Spec) { s.Multipliers = []string{"mul8u_NOPE"} }},
+		{"duplicate float", func(s *Spec) { s.Multipliers = []string{FloatVictim, "mul8u_1JFF", FloatVictim} }},
+		{"duplicate float among aliases", func(s *Spec) { s.Multipliers = []string{FloatVictim, "mnist", "cifar", FloatVictim} }},
+		{"float in ensemble pool", func(s *Spec) {
+			s.Defense = &DefenseSpec{Kind: "ensemble", Pool: []string{"mul8u_1JFF", FloatVictim}}
+		}},
 		{"no eps", func(s *Spec) { s.Eps = nil }},
 		{"negative eps", func(s *Spec) { s.Eps = []float64{-0.1} }},
 		{"NaN eps", func(s *Spec) { s.Eps = []float64{math.NaN()} }},
@@ -115,6 +122,21 @@ func TestSpecValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid spec", tc.name)
 		}
+	}
+
+	// One float column, anywhere among designs and aliases, is valid,
+	// and the aliases never expand to it.
+	s := validSpec()
+	s.Multipliers = []string{"mnist", FloatVictim, "cifar"}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("float among aliases rejected: %v", err)
+	}
+	got := s.ExpandMultipliers()
+	if want := len(axmult.MNISTSet()) + 1 + len(axmult.CIFARSet()); len(got) != want || got[len(axmult.MNISTSet())] != FloatVictim {
+		t.Fatalf("expanded to %v, want %d entries with the float column after the mnist set", got, want)
+	}
+	if n := slices.Index(got, FloatVictim); slices.Index(got[n+1:], FloatVictim) >= 0 {
+		t.Fatalf("an alias expanded to %q: %v", FloatVictim, got)
 	}
 }
 
