@@ -10,20 +10,21 @@
 //     configurable Qlevel).
 //   - Only convolution products go through the approximate multiplier
 //     (Section IV-A replaces multipliers in the conv layers); dense
-//     layers use exact int32 MACs unless Options.ApproxDense is set
-//     (needed for the FFNN of Fig. 1, which has no conv layers).
+//     layers use the exact design's table unless Options.ApproxDense is
+//     set (needed for the FFNN of Fig. 1, which has no conv layers).
 //   - Zero-point cross terms are corrected exactly, so with the exact
 //     multiplier the engine reproduces standard uint8 post-training
 //     quantization.
 //
-// The conv/dense kernels are tiled, weight-stationary LUT GEMMs: each
-// weight code reads one contiguous 256-entry row of the transposed
-// multiplier table, output channels are register-blocked, the pixel
-// dimension is tiled to L1-sized chunks, and all scratch comes from a
-// pooled per-Network workspace arena (see workspace.go). On amd64
-// hosts with AVX2 the conv stages run on an AVX2 gather kernel instead
-// (lut_gather.go), and every conv epilogue requantizes through
-// integer-exact tables (requant.go). The pre-PR naive kernel is
+// Conv and dense stages run on one kernel: a dense layer is a 1x1 conv
+// over a 1x1 input. It is a weight-stationary LUT GEMM over tap-major
+// columns (lut_gather.go): each weight code reads one contiguous
+// 256-entry row of the transposed multiplier table, output channels
+// are blocked, the batch's samples fill the lanes, and all scratch
+// comes from a pooled per-Network workspace arena (see workspace.go).
+// AVX2 hosts run its gather microkernel, others a Go loop over the
+// same operands. Every epilogue but the logits requantizes through
+// integer-exact tables (requant.go). The pre-tiling naive kernels are
 // retained behind WithReferenceKernel for bit-for-bit parity tests and
 // the BenchmarkTiledVsSeed regression gate.
 //
@@ -49,13 +50,14 @@ type Options struct {
 	// Bits is the activation/weight code width (the paper's Qlevel).
 	// 0 means 8.
 	Bits uint
-	// ApproxDense routes dense-layer products through the approximate
-	// multiplier too (used for the FFNN study and ablations).
+	// ApproxDense routes dense-layer products through the active
+	// multiplier too (used for the FFNN study and ablations); without
+	// it they run on the exact design's table (mul8u_1JFF).
 	ApproxDense bool
 	// NoZeroPointCorrection drops the exact zero-point cross terms in
-	// the conv accumulation. Only for the ablation bench: it breaks the
-	// affine semantics and shows why TFApprox-style engines must carry
-	// the correction adders.
+	// the conv accumulation; dense stages keep them. Only for the
+	// ablation bench: it breaks the affine semantics and shows why
+	// TFApprox-style engines must carry the correction adders.
 	NoZeroPointCorrection bool
 	// Multiplier is the initial multiplier; nil means the exact design.
 	Multiplier *axmult.LUT
@@ -63,16 +65,14 @@ type Options struct {
 
 // Network is a compiled quantized network.
 type Network struct {
-	Name        string
-	layers      []qlayer
-	mul         []uint16 // active LUT table, index a<<8|w
-	mulT        []uint16 // transposed table, index w<<8|a (weight-major rows)
-	mulID       string
-	cfgKey      string // compile-time identity sans multiplier; see ModelKey
-	inQP        quant.Params
-	approxDense bool
-	noZP        bool
-	ref         bool // route conv/dense through the retained pre-PR kernel
+	Name   string
+	layers []qlayer
+	mul    []uint16 // active LUT table, index a<<8|w
+	mulT   []uint16 // transposed table, index w<<8|a (weight-major rows)
+	mulID  string
+	cfgKey string // compile-time identity sans multiplier; see ModelKey
+	inQP   quant.Params
+	ref    bool // route conv/dense through the retained pre-tiling kernels
 
 	// pool hands out per-goroutine workspace arenas sized from hint.
 	// It is a pointer so WithMultiplier/WithReferenceKernel copies
@@ -90,9 +90,6 @@ type qtensor struct {
 	data  []uint8
 	qp    quant.Params
 }
-
-// vol returns the per-sample element count.
-func (t qtensor) vol() int { return len(t.data) / t.n }
 
 // qlayer either produces another quantized batch or, for the final
 // stage, float logits ([n * classes], row-major by sample). ws is the
@@ -136,16 +133,15 @@ func Compile(n *nn.Network, calib []*tensor.T, opts Options) (*Network, error) {
 	}
 
 	q := &Network{
-		Name:        n.Name,
-		cfgKey:      ConfigKey(n, calib, opts),
-		inQP:        quant.Calibrate(inMin, inMax, bits),
-		approxDense: opts.ApproxDense,
-		noZP:        opts.NoZeroPointCorrection,
+		Name:   n.Name,
+		cfgKey: ConfigKey(n, calib, opts),
+		inQP:   quant.Calibrate(inMin, inMax, bits),
 	}
 	// Shape walk alongside layer compilation: the workspace hint
 	// records the largest im2col and accumulator footprints of a full
 	// column group and the largest per-sample activation footprint, so
-	// pooled arenas are right-sized from their first checkout.
+	// pooled arenas are right-sized from their first checkout. A dense
+	// stage counts as a conv with one output pixel.
 	shape := append([]int(nil), calib[0].Shape...)
 	q.hint.vol = volOf(shape)
 	inQP := q.inQP
@@ -154,21 +150,17 @@ func Compile(n *nn.Network, calib []*tensor.T, opts Options) (*Network, error) {
 		last := i == len(n.Layers)-1
 		switch t := l.(type) {
 		case *nn.Conv2D:
-			q.layers = append(q.layers, newQConv(t, inQP, outQP, bits))
+			c := newQConv(t, inQP, outQP, bits, false)
+			c.noZP = opts.NoZeroPointCorrection
+			q.layers = append(q.layers, c)
 			h, w := shape[1], shape[2]
 			outH := (h+2*t.Pad-t.K)/t.Stride + 1
 			outW := (w+2*t.Pad-t.K)/t.Stride + 1
-			p := outH * outW
-			kk := t.InC * t.K * t.K
-			ld := groupLanes(p)
-			q.hint.cols = max(q.hint.cols, kk*ld)
-			q.hint.lanes = max(q.hint.lanes, ld)
-			q.hint.acc = max(q.hint.acc, convBlock*ld)
+			q.hint.group(t.InC*t.K*t.K, outH*outW)
 			shape = []int{t.OutC, outH, outW}
 		case *nn.Dense:
 			q.layers = append(q.layers, newQDense(t, inQP, outQP, bits, last, opts.ApproxDense))
-			q.hint.dense = max(q.hint.dense, t.Out)
-			q.hint.acc = max(q.hint.acc, t.Out)
+			q.hint.group(t.In, 1)
 			shape = []int{t.Out}
 		case *nn.ReLU:
 			q.layers = append(q.layers, &qReLU{outQP: outQP, lut: quant.RequantLUT(inQP, outQP, func(v float32) float32 {
@@ -182,16 +174,13 @@ func Compile(n *nn.Network, calib []*tensor.T, opts Options) (*Network, error) {
 			q.layers = append(q.layers, &qAvgPool{k: t.K, stride: stride, outQP: outQP, lut: quant.RequantLUT(inQP, outQP, nil)})
 			shape = []int{shape[0], (shape[1]-t.K)/stride + 1, (shape[2]-t.K)/stride + 1}
 		case *nn.Flatten:
-			q.layers = append(q.layers, &qFlatten{})
+			// No stage: a dense stage reads any sample shape as flat.
 			shape = []int{volOf(shape)}
-			outQP = inQP // passthrough keeps params
+			continue
 		default:
 			return nil, fmt.Errorf("axnn: unsupported layer type %T", l)
 		}
 		q.hint.vol = max(q.hint.vol, volOf(shape))
-		if _, ok := l.(*nn.Flatten); ok {
-			continue
-		}
 		inQP = outQP
 	}
 	if !opts.NoZeroPointCorrection {
@@ -255,8 +244,9 @@ func poolStride(p *nn.AvgPool2D) int {
 	return p.Stride
 }
 
-// SetMultiplier installs the approximate multiplier used by conv (and
-// optionally dense) layers. It returns the network for chaining.
+// SetMultiplier installs the approximate multiplier used by conv (and,
+// with Options.ApproxDense, dense) layers. It returns the network for
+// chaining.
 func (q *Network) SetMultiplier(l *axmult.LUT) *Network {
 	q.mul = l.Table()
 	q.mulT = l.TableT()
@@ -350,12 +340,13 @@ func outBuf(net *Network, ws *workspace, n int) []uint8 {
 	return ws.nextAct(n)
 }
 
-// buildRequant gives every conv stage its integer-exact requantizer,
-// folding a directly following ReLU into it where both maps compose.
+// buildRequant gives every conv and dense stage that writes codes its
+// integer-exact requantizer, folding a directly following ReLU into it
+// where both maps compose.
 func (q *Network) buildRequant() {
 	for i, l := range q.layers {
 		c, ok := l.(*qConv)
-		if !ok {
+		if !ok || c.logits {
 			continue
 		}
 		var relu *qReLU
@@ -394,12 +385,6 @@ func (r *qReLU) forward(net *Network, ws *workspace, in qtensor) (qtensor, []flo
 		out.data[i] = lut[c]
 	}
 	return out, nil
-}
-
-type qFlatten struct{}
-
-func (f *qFlatten) forward(_ *Network, _ *workspace, in qtensor) (qtensor, []float32) {
-	return qtensor{n: in.n, shape: []int{in.vol()}, data: in.data, qp: in.qp}, nil
 }
 
 // qAvgPool averages codes inside each window (affine codes average like

@@ -186,8 +186,8 @@ func TestTiledKernelParityLaneTails(t *testing.T) {
 }
 
 // TestRequantStairs pins the integer requantizer to the float formula
-// it replaces: for every conv channel of the parity, tail and reduced
-// width networks, the code at every edge t and at t-1, and at random
+// it replaces: for every conv and dense channel (all but the logits
+// stage's) of the parity, tail and reduced width networks, the code at every edge t and at t-1, and at random
 // reachable t, equals Quantize(float32(t)*scale+bias), mapped through
 // the folded ReLU's table where one is folded. The tables depend only
 // on the quantization parameters, so one network covers every
@@ -215,7 +215,7 @@ func TestRequantStairs(t *testing.T) {
 		}
 		for li, l := range q.layers {
 			c, ok := l.(*qConv)
-			if !ok {
+			if !ok || c.logits {
 				continue
 			}
 			if c.stairs == nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/axmult"
+	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -73,7 +74,8 @@ func assertSameLogits(t *testing.T, label string, want, got *tensor.T) {
 
 // TestTiledKernelParityAllMultipliers pins the tentpole's correctness
 // claim: for EVERY multiplier in the axmult registry, on conv+dense
-// stacks with padded and strided shapes and random batches, the tiled
+// stacks with padded and strided shapes and on the dense-only FFNN
+// (ApproxDense off and on), with random batches, the tiled
 // weight-major kernel produces logits bit-identical to the retained
 // reference kernel.
 func TestTiledKernelParityAllMultipliers(t *testing.T) {
@@ -116,6 +118,50 @@ func parityAllMultipliers(t *testing.T) {
 			assertSameLogits(t, fmt.Sprintf("%s/%s", net.Name, name), want, got)
 		}
 	}
+	// The Fig. 1 FFNN has only dense stages: with ApproxDense off they
+	// run on the exact design's table whatever the active multiplier,
+	// against the reference kernel's int32 MACs; with it on, on the
+	// active multiplier. Nine samples fill one lane block plus a tail.
+	// The biases are nonzero, so the logits epilogue adds them.
+	ffnn := models.FFNN(28*28, 10, 131)
+	rng := rand.New(rand.NewSource(134))
+	for _, p := range ffnn.Params() {
+		if p.Name == "B" {
+			for i := range p.W {
+				p.W[i] = rng.Float32() - 0.5
+			}
+		}
+	}
+	calib, batch := digitBatch(12, 132), tensor.Stack(digitBatch(9, 133))
+	for _, approx := range []bool{false, true} {
+		q, err := Compile(ffnn, calib, Options{ApproxDense: approx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *tensor.T
+		for _, name := range names {
+			eng := q.WithMultiplier(axmult.MustLookup(name))
+			if want == nil || approx {
+				// Exact dense stages give one reference for every design.
+				want = eng.WithReferenceKernel().LogitsBatch(batch)
+			}
+			got := eng.LogitsBatch(batch)
+			assertSameLogits(t, fmt.Sprintf("ffnn/approx-dense=%t/%s", approx, name), want, got)
+		}
+	}
+}
+
+// digitBatch returns n digits-shaped 1x28x28 inputs in [-0.5, 1.5).
+func digitBatch(n int, seed int64) []*tensor.T {
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([]*tensor.T, n)
+	for i := range xs {
+		xs[i] = tensor.New(1, 28, 28)
+		for j := range xs[i].Data {
+			xs[i].Data[j] = rng.Float32()*2 - 0.5
+		}
+	}
+	return xs
 }
 
 // sparseParityBatch builds inputs whose real value is exactly zero
@@ -178,8 +224,8 @@ func paritySparse(t *testing.T) {
 	}
 }
 
-// TestTiledKernelParityApproxDense covers the ApproxDense
-// (activation-stationary LUT dense) path against the reference dense
+// TestTiledKernelParityApproxDense covers the ApproxDense path (dense
+// stages on the active multiplier's table) against the reference dense
 // kernel for a sample of structurally diverse designs.
 func TestTiledKernelParityApproxDense(t *testing.T) {
 	onEachKernel(t, parityApproxDense)

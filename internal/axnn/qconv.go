@@ -1,15 +1,17 @@
 package axnn
 
 import (
+	"repro/internal/axmult"
 	"repro/internal/nn"
 	"repro/internal/quant"
 )
 
 // qConv is the quantized convolution stage — the layer whose multipliers
-// the paper replaces with approximate designs.
+// the paper replaces with approximate designs — and, as a 1x1 conv over
+// a 1x1 input, the quantized dense stage too (newQDense).
 //
-// Weights are quantized per output channel (filter-wise scales), the
-// standard scheme for deep conv stacks: per-tensor scales starve
+// Conv weights are quantized per output channel (filter-wise scales),
+// the standard scheme for deep conv stacks: per-tensor scales starve
 // small-magnitude filters of resolution.
 //
 // With activation codes a (zero-point za) and weight codes w (zero-point
@@ -47,13 +49,27 @@ type qConv struct {
 	// folded ReLU's output parameters.
 	stairs   []stairs
 	stairsQP quant.Params
+
+	// dense marks a dense layer's stage: it reads each sample as [inC]
+	// flat codes and has one per-tensor weight quantizer. exactT is the
+	// exact design's table it runs on without Options.ApproxDense (nil:
+	// the active multiplier), and logits marks the last stage, which
+	// writes float logits.
+	dense  bool
+	exactT []uint16
+	logits bool
+	// noZP drops the zero-point correction (the
+	// Options.NoZeroPointCorrection ablation, conv stages only).
+	noZP bool
 }
 
 // convBlock is the channel block: output channels whose weight rows
 // share one pass over the columns.
 const convBlock = 4
 
-func newQConv(c *nn.Conv2D, inQP, outQP quant.Params, bits uint) *qConv {
+// newQConv compiles a conv layer, with one weight quantizer per output
+// channel or, for a dense layer's 1x1 conv (dense), one per tensor.
+func newQConv(c *nn.Conv2D, inQP, outQP quant.Params, bits uint, dense bool) *qConv {
 	kk := c.InC * c.K * c.K
 	q := &qConv{
 		inC: c.InC, outC: c.OutC, k: c.K, stride: c.Stride, pad: c.Pad,
@@ -61,11 +77,15 @@ func newQConv(c *nn.Conv2D, inQP, outQP quant.Params, bits uint) *qConv {
 		wSum:   make([]int32, c.OutC),
 		wQP:    make([]quant.Params, c.OutC),
 		inQP:   inQP, outQP: outQP,
-		bias: append([]float32(nil), c.B...),
+		bias:  append([]float32(nil), c.B...),
+		dense: dense,
 	}
+	lo, hi := quant.Range(c.W)
 	for oc := 0; oc < c.OutC; oc++ {
 		row := c.W[oc*kk : (oc+1)*kk]
-		lo, hi := quant.Range(row)
+		if !dense {
+			lo, hi = quant.Range(row)
+		}
 		qp := quant.Calibrate(lo, hi, bits)
 		q.wQP[oc] = qp
 		codes := qp.QuantizeSlice(row)
@@ -79,6 +99,20 @@ func newQConv(c *nn.Conv2D, inQP, outQP quant.Params, bits uint) *qConv {
 	return q
 }
 
+// newQDense compiles a dense layer as a 1x1 conv over a 1x1 input.
+// Section IV-A puts the approximate multipliers in the conv layers
+// only, so its products run on the exact design's table unless approx
+// is set (Options.ApproxDense: the conv-free FFNN of Fig. 1 and the
+// dense-approximation ablation). The last layer writes float logits.
+func newQDense(d *nn.Dense, inQP, outQP quant.Params, bits uint, last, approx bool) *qConv {
+	q := newQConv(&nn.Conv2D{InC: d.In, OutC: d.Out, K: 1, Stride: 1, W: d.W, B: d.B}, inQP, outQP, bits, true)
+	q.logits = last
+	if !approx {
+		q.exactT = axmult.MustLookup("mul8u_1JFF").TableT()
+	}
+	return q
+}
+
 // forward runs the stage per group of samples: tap-major columns and
 // their per-lane code sums, then one gather GEMM pass per block of
 // channels and the requantize epilogue per sample. Channels run in
@@ -88,18 +122,36 @@ func newQConv(c *nn.Conv2D, inQP, outQP quant.Params, bits uint) *qConv {
 // again. A single channel runs as two copies of itself.
 func (c *qConv) forward(net *Network, ws *workspace, in qtensor) (qtensor, []float32) {
 	if net.ref {
+		if c.dense {
+			return c.refDenseForward(net, in)
+		}
 		return c.refForward(net, in)
 	}
-	h, w := in.shape[1], in.shape[2]
+	h, w := 1, 1
+	if !c.dense {
+		h, w = in.shape[1], in.shape[2]
+	}
 	outH := (h+2*c.pad-c.k)/c.stride + 1
 	outW := (w+2*c.pad-c.k)/c.stride + 1
 	p := outH * outW
 	kk := c.inC * c.k * c.k
 	inVol := c.inC * h * w
+	lutT := net.mulT
+	if c.exactT != nil {
+		lutT = c.exactT
+	}
 
-	out := qtensor{n: in.n, shape: []int{c.outC, outH, outW}, data: ws.nextAct(in.n * c.outC * p), qp: c.outQP}
-	if c.stairs != nil {
-		out.qp = c.stairsQP
+	var out qtensor
+	var logits []float32
+	if c.logits {
+		// Final logits leave the engine; they must not live in the
+		// recycled workspace.
+		logits = make([]float32, in.n*c.outC*p)
+	} else {
+		out = qtensor{n: in.n, shape: []int{c.outC, outH, outW}, data: ws.nextAct(in.n * c.outC * p), qp: c.outQP}
+		if c.stairs != nil {
+			out.qp = c.stairsQP
+		}
 	}
 	group := groupLanes(p) / p
 	for s0 := 0; s0 < in.n; s0 += group {
@@ -124,36 +176,45 @@ func (c *qConv) forward(net *Network, ws *workspace, in qtensor) (qtensor, []flo
 			if c.outC == 1 {
 				wRow, ldAcc = 0, 0
 			}
-			lutGather(acc, ldAcc, cols, ld, c.wCodes[oc0*kk:], wRow, net.mulT, kk, ld, rows)
+			lutGather(acc, ldAcc, cols, ld, c.wCodes[oc0*kk:], wRow, lutT, kk, ld, rows)
 			// Rows before oc were written by the previous block.
 			skip := oc - oc0
 			live := min(rows, c.outC-oc0) - skip
 			for s := 0; s < gs; s++ {
-				sOut := out.data[(s0+s)*c.outC*p:]
-				c.epilogue(net, acc[skip*ld+s*p:], ld, aSum[s*p:(s+1)*p], sOut, oc, live, p)
+				a, sum := acc[skip*ld+s*p:], aSum[s*p:(s+1)*p]
+				if logits != nil {
+					c.logitsEpilogue(a, ld, sum, logits[(s0+s)*c.outC*p:], oc, live, p)
+				} else {
+					c.epilogue(a, ld, sum, out.data[(s0+s)*c.outC*p:], oc, live, p)
+				}
 			}
 			oc += live
 		}
 	}
-	return out, nil
+	return out, logits
+}
+
+// affine returns channel oc's zero-point correction and scale: the
+// corrected accumulator t = acc - zw*Σa + fixed is worth
+// float32(t)*scale + bias.
+func (c *qConv) affine(oc int) (zw, fixed int32, scale, bias float32) {
+	za := int32(c.inQP.Zero)
+	zw = int32(c.wQP[oc].Zero)
+	fixed = int32(c.inC*c.k*c.k)*za*zw - za*c.wSum[oc]
+	return zw, fixed, c.inQP.Scale * c.wQP[oc].Scale, c.bias[oc]
 }
 
 // epilogue requantizes one block of accumulator rows (row j at
 // acc[j*ldAcc:], p lanes each) into channels oc0..oc0+nb-1 of one
 // sample's output; the arithmetic is exactly the reference kernel's,
 // or its integer-exact staircase (requant.go).
-func (c *qConv) epilogue(net *Network, acc []int32, ldAcc int, aSum []int32, sOut []uint8, oc0, nb, p int) {
-	kk := c.inC * c.k * c.k
-	za := int32(c.inQP.Zero)
+func (c *qConv) epilogue(acc []int32, ldAcc int, aSum []int32, sOut []uint8, oc0, nb, p int) {
 	for j := 0; j < nb; j++ {
 		oc := oc0 + j
 		accj := acc[j*ldAcc : j*ldAcc+p]
-		zw := int32(c.wQP[oc].Zero)
-		scale := c.inQP.Scale * c.wQP[oc].Scale
-		fixed := int32(kk)*za*zw - za*c.wSum[oc]
-		bias := c.bias[oc]
+		zw, fixed, scale, bias := c.affine(oc)
 		dst := sOut[oc*p:][:len(accj)]
-		if net.noZP {
+		if c.noZP {
 			// Ablation: raw LUT sums without the correction adders.
 			for i, a := range accj {
 				dst[i] = c.outQP.Quantize(float32(a)*scale + bias)
@@ -175,6 +236,20 @@ func (c *qConv) epilogue(net *Network, acc []int32, ldAcc int, aSum []int32, sOu
 	}
 }
 
+// logitsEpilogue is epilogue for the last stage: it writes the
+// corrected values as float logits.
+func (c *qConv) logitsEpilogue(acc []int32, ldAcc int, aSum []int32, sOut []float32, oc0, nb, p int) {
+	for j := 0; j < nb; j++ {
+		oc := oc0 + j
+		accj := acc[j*ldAcc : j*ldAcc+p]
+		zw, fixed, scale, bias := c.affine(oc)
+		dst, sumT := sOut[oc*p:][:len(accj)], aSum[:len(accj)]
+		for i, a := range accj {
+			dst[i] = float32(a-zw*sumT[i]+fixed)*scale + bias
+		}
+	}
+}
+
 // im2colCodes is Im2col over uint8 codes with a configurable padding
 // code (the activation zero-point) and a column stride: tap q of
 // output pixel i lands at cols[q*ld+i]. forward lays a group of
@@ -184,8 +259,8 @@ func im2colCodes(x []uint8, inC, h, w, k, stride, pad int, padCode uint8, cols [
 	outH := (h+2*pad-k)/stride + 1
 	outW := (w+2*pad-k)/stride + 1
 	if outH == 1 && outW == 1 && pad == 0 {
-		// One output pixel (LeNet-5's conv3): tap (ci, ki, kj) reads
-		// input (ci, ki, kj) and each tap row holds one code.
+		// One output pixel (LeNet-5's conv3, a dense stage): tap
+		// (ci, ki, kj) reads input (ci, ki, kj), one code per tap row.
 		q := 0
 		for ci := 0; ci < inC; ci++ {
 			for ki := 0; ki < k; ki++ {

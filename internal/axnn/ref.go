@@ -1,7 +1,8 @@
 package axnn
 
 // The reference kernels below are the pre-tiling conv/dense forward
-// passes, kept verbatim: naive activation-major LUT indexing
+// passes, kept verbatim (the dense one now reads a dense qConv's
+// fields): naive activation-major LUT indexing
 // (lut[a<<8|w] — 512 bytes between consecutive loads of one weight
 // row), per-call scratch allocation, serial samples. They are the
 // ground truth for the bit-for-bit parity suite (parity_test.go runs
@@ -95,7 +96,7 @@ func (c *qConv) refForward(net *Network, in qtensor) (qtensor, []float32) {
 			fixed := int32(kk)*za*zw - za*c.wSum[oc]
 			bias := c.bias[oc]
 			dst := sOut[oc*p : (oc+1)*p]
-			if net.noZP {
+			if c.noZP {
 				for i := range acc {
 					dst[i] = c.outQP.Quantize(float32(acc[i])*scale + bias)
 				}
@@ -110,25 +111,27 @@ func (c *qConv) refForward(net *Network, in qtensor) (qtensor, []float32) {
 	return out, nil
 }
 
-// refForward is the seed qDense kernel.
-func (d *qDense) refForward(net *Network, in qtensor) (qtensor, []float32) {
-	za := int32(d.inQP.Zero)
-	zw := int32(d.wQP.Zero)
-	scale := d.inQP.Scale * d.wQP.Scale
+// refDenseForward is the seed qDense kernel, on a dense stage's
+// fields: exact int32 MACs, or the active multiplier's table when the
+// stage was compiled with Options.ApproxDense (exactT nil).
+func (c *qConv) refDenseForward(net *Network, in qtensor) (qtensor, []float32) {
+	za := int32(c.inQP.Zero)
+	zw := int32(c.wQP[0].Zero)
+	scale := c.inQP.Scale * c.wQP[0].Scale
 	lut := net.mul
 
-	vals := make([]float32, in.n*d.out)
+	vals := make([]float32, in.n*c.outC)
 	for s := 0; s < in.n; s++ {
-		xd := in.data[s*d.in : (s+1)*d.in]
+		xd := in.data[s*c.inC : (s+1)*c.inC]
 		var aSum int32
 		for _, a := range xd {
 			aSum += int32(a)
 		}
-		sVals := vals[s*d.out : (s+1)*d.out]
-		for o := 0; o < d.out; o++ {
-			w := d.wCodes[o*d.in : (o+1)*d.in]
+		sVals := vals[s*c.outC : (s+1)*c.outC]
+		for o := 0; o < c.outC; o++ {
+			w := c.wCodes[o*c.inC : (o+1)*c.inC]
 			var acc int32
-			if net.approxDense {
+			if c.exactT == nil {
 				for i, a := range xd {
 					acc += int32(lut[uint32(a)<<8|uint32(w[i])])
 				}
@@ -137,16 +140,16 @@ func (d *qDense) refForward(net *Network, in qtensor) (qtensor, []float32) {
 					acc += int32(a) * int32(w[i])
 				}
 			}
-			acc += int32(d.in)*za*zw - za*d.wSum[o] - zw*aSum
-			sVals[o] = float32(acc)*scale + d.bias[o]
+			acc += int32(c.inC)*za*zw - za*c.wSum[o] - zw*aSum
+			sVals[o] = float32(acc)*scale + c.bias[o]
 		}
 	}
-	if d.last {
+	if c.logits {
 		return qtensor{}, vals
 	}
-	out := qtensor{n: in.n, shape: []int{d.out}, data: make([]uint8, in.n*d.out), qp: d.outQP}
+	out := qtensor{n: in.n, shape: []int{c.outC}, data: make([]uint8, in.n*c.outC), qp: c.outQP}
 	for i, v := range vals {
-		out.data[i] = d.outQP.Quantize(v)
+		out.data[i] = c.outQP.Quantize(v)
 	}
 	return out, nil
 }

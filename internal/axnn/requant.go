@@ -89,16 +89,12 @@ func (c *qConv) buildStairs(post []uint8) []stairs {
 		}
 	}
 	kk := int64(c.inC * c.k * c.k)
-	za := int32(c.inQP.Zero)
 	out := make([]stairs, c.outC)
 	for oc := range out {
-		scale := c.inQP.Scale * c.wQP[oc].Scale
-		bias := c.bias[oc]
+		zw, fixed, scale, bias := c.affine(oc)
 		if !(scale > 0) || !finite(scale) || !finite(bias) {
 			return nil
 		}
-		zw := int32(c.wQP[oc].Zero)
-		fixed := int32(kk)*za*zw - za*c.wSum[oc]
 		// acc is a sum of kk uint16 products and Σa of kk uint8 codes.
 		lo := int64(fixed) - int64(zw)*kk*math.MaxUint8
 		hi := int64(fixed) + kk*math.MaxUint16

@@ -4,16 +4,15 @@ import "sync"
 
 // workspace is the per-worker scratch arena for one pass through the
 // layer stack: im2col columns, zero-point activation sums, channel-
-// block accumulators, ping-pong activation buffers, and the dense
-// float staging area. Workspaces are checked out of the Network's
-// sync.Pool per run call (one per concurrent goroutine), presized
-// at Compile from the calibration shape, and grown on demand — so the
-// steady-state forward pass allocates only its returned logits.
+// block accumulators, and ping-pong activation buffers. Workspaces are
+// checked out of the Network's sync.Pool per run call (one per
+// concurrent goroutine), presized at Compile from the calibration
+// shape, and grown on demand — so the steady-state forward pass
+// allocates only its returned logits.
 type workspace struct {
 	cols []uint8
 	aSum []int32
 	acc  []int32
-	vals []float32
 
 	// act holds the ping-pong activation buffers: each layer reads its
 	// input from one buffer and writes its output into the other, so
@@ -23,15 +22,23 @@ type workspace struct {
 }
 
 // wsHint carries the buffer maxima derived at Compile time: a full
-// column group of each conv stage (groupLanes), whatever the chunk
-// size, and one sample of each other buffer (activation buffers
+// column group of each conv or dense stage (groupLanes), whatever the
+// chunk size, and one sample of the activation buffers (which
 // additionally scale with the runtime chunk size).
 type wsHint struct {
-	cols  int // max group im2col footprint: kk * groupLanes(p) over conv layers
+	cols  int // max group im2col footprint: kk * groupLanes(p) over conv and dense layers
 	lanes int // max group lanes (aSum)
-	acc   int // channel-block accumulator footprint: convBlock group rows, or a dense width
+	acc   int // channel-block accumulator footprint: convBlock group rows
 	vol   int // max per-sample activation volume (any layer, and input)
-	dense int // max dense output width (vals, per sample)
+}
+
+// group records a conv or dense stage with kk taps and p output pixels
+// per sample.
+func (h *wsHint) group(kk, p int) {
+	ld := groupLanes(p)
+	h.cols = max(h.cols, kk*ld)
+	h.lanes = max(h.lanes, ld)
+	h.acc = max(h.acc, convBlock*ld)
 }
 
 func newWorkspace(h wsHint) *workspace {
@@ -39,7 +46,6 @@ func newWorkspace(h wsHint) *workspace {
 		cols: make([]uint8, h.cols+gatherPad),
 		aSum: make([]int32, h.lanes),
 		acc:  make([]int32, h.acc),
-		vals: make([]float32, h.dense),
 		act:  [2][]uint8{make([]uint8, h.vol), make([]uint8, h.vol)},
 	}
 }
@@ -56,7 +62,7 @@ func (w *workspace) nextAct(n int) []uint8 {
 	return (*buf)[:n]
 }
 
-// u8, i32, and f32 return scratch slices of exactly n elements, growing
+// u8 and i32 return scratch slices of exactly n elements, growing
 // the backing buffer when a larger shape than the Compile-time hint
 // shows up. Contents are unspecified; callers must initialise.
 func u8(buf *[]uint8, n int) []uint8 {
@@ -69,13 +75,6 @@ func u8(buf *[]uint8, n int) []uint8 {
 func i32(buf *[]int32, n int) []int32 {
 	if cap(*buf) < n {
 		*buf = make([]int32, n)
-	}
-	return (*buf)[:n]
-}
-
-func f32(buf *[]float32, n int) []float32 {
-	if cap(*buf) < n {
-		*buf = make([]float32, n)
 	}
 	return (*buf)[:n]
 }

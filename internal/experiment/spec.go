@@ -289,18 +289,22 @@ func (s *Spec) Validate() error {
 	if len(mults) == 0 {
 		return fmt.Errorf("spec: at least one multiplier is required")
 	}
-	floats := 0
+	// Two columns for one design would collide in Grid.Column: key each
+	// on its canonical name, after alias expansion.
+	seenMul := make(map[string]bool, len(mults))
 	for _, m := range mults {
-		if m == FloatVictim {
-			// Two float columns would collide in Grid.Column.
-			if floats++; floats > 1 {
-				return fmt.Errorf("spec: duplicate %q victim", FloatVictim)
+		name := m
+		if m != FloatVictim {
+			l, err := axmult.Lookup(m)
+			if err != nil {
+				return fmt.Errorf("spec: %w", err)
 			}
-			continue
+			name = l.Name()
 		}
-		if _, err := axmult.Lookup(m); err != nil {
-			return fmt.Errorf("spec: %w", err)
+		if seenMul[name] {
+			return fmt.Errorf("spec: duplicate %q victim", name)
 		}
+		seenMul[name] = true
 	}
 	if len(s.Eps) == 0 {
 		return fmt.Errorf("spec: at least one eps budget is required")

@@ -70,7 +70,11 @@ func TestSpecValidate(t *testing.T) {
 		{"no multipliers", func(s *Spec) { s.Multipliers = nil }},
 		{"unknown multiplier", func(s *Spec) { s.Multipliers = []string{"mul8u_NOPE"} }},
 		{"duplicate float", func(s *Spec) { s.Multipliers = []string{FloatVictim, "mul8u_1JFF", FloatVictim} }},
-		{"duplicate float among aliases", func(s *Spec) { s.Multipliers = []string{FloatVictim, "mnist", "cifar", FloatVictim} }},
+		{"duplicate float among aliases", func(s *Spec) { s.Multipliers = []string{FloatVictim, "mnist", "mul8u_2P7", FloatVictim} }},
+		{"duplicate multiplier", func(s *Spec) { s.Multipliers = []string{"mul8u_1JFF", "mul8u_1JFF"} }},
+		{"duplicate multiplier across case", func(s *Spec) { s.Multipliers = []string{"mul8u_1JFF", "MUL8U_1jff"} }},
+		{"multiplier inside an alias", func(s *Spec) { s.Multipliers = []string{"mnist", "mul8u_JV3"} }},
+		{"aliases sharing a design", func(s *Spec) { s.Multipliers = []string{"mnist", "cifar"} }},
 		{"float in ensemble pool", func(s *Spec) {
 			s.Defense = &DefenseSpec{Kind: "ensemble", Pool: []string{"mul8u_1JFF", FloatVictim}}
 		}},
@@ -125,12 +129,14 @@ func TestSpecValidate(t *testing.T) {
 	}
 
 	// One float column, anywhere among designs and aliases, is valid,
-	// and the aliases never expand to it.
+	// and the aliases never expand to it. The mnist and cifar sets
+	// share mul8u_1JFF, so together they only expand.
 	s := validSpec()
-	s.Multipliers = []string{"mnist", FloatVictim, "cifar"}
+	s.Multipliers = []string{"mnist", FloatVictim, "mul8u_2P7"}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("float among aliases rejected: %v", err)
 	}
+	s.Multipliers = []string{"mnist", FloatVictim, "cifar"}
 	got := s.ExpandMultipliers()
 	if want := len(axmult.MNISTSet()) + 1 + len(axmult.CIFARSet()); len(got) != want || got[len(axmult.MNISTSet())] != FloatVictim {
 		t.Fatalf("expanded to %v, want %d entries with the float column after the mnist set", got, want)

@@ -10,10 +10,11 @@ import (
 
 // Conv2D is a 2-D convolution (cross-correlation) layer over [C,H,W]
 // samples or [N,C,H,W] batches, implemented with im2col and the lane
-// GEMM (gemm_lanes.go): the forward pass unrolls the batch into
-// tap-major columns with its samples side by side and multiplies W by
-// them; the backward pass reuses the columns for weight gradients and
-// computes the input gradient W^T dy, scattered back by Col2im.
+// GEMM (gemm_lanes.go), which Dense runs on too: the forward pass
+// unrolls the batch into tap-major columns with its samples side by
+// side and multiplies W by them; the backward pass reuses the columns
+// for weight gradients and computes the input gradient W^T dy,
+// scattered back by Col2im.
 type Conv2D struct {
 	InC, OutC, K, Stride, Pad int
 
@@ -59,12 +60,7 @@ func (c *Conv2D) Forward(x *tensor.T, st *State) *tensor.T {
 	kk := c.InC * c.K * c.K
 	st.x = x
 
-	var y *tensor.T
-	if len(x.Shape) == 4 {
-		y = tensor.New(n, c.OutC, outH, outW)
-	} else {
-		y = tensor.New(c.OutC, outH, outW)
-	}
+	y := batchLike(x, 3, c.OutC, outH, outW)
 	c.forwardLanes(x.Data, y.Data, st, n, inH, inW, p, kk)
 	return y
 }
@@ -81,7 +77,7 @@ func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 	cols := st.cols[:n*p*kk]
 
 	if st.accumGrads {
-		c.weightGrads(dy.Data, cols, n, p, kk)
+		c.weightGrads(dy.Data, cols, st, n, p, kk)
 	}
 
 	// The columns are dead once the weight gradients are in, so dcols
@@ -89,12 +85,7 @@ func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 	dcols := cols
 	c.inputGradLanes(dy.Data, dcols, st, n, p, kk)
 
-	var dx *tensor.T
-	if len(x.Shape) == 4 {
-		dx = tensor.New(n, c.InC, inH, inW)
-	} else {
-		dx = tensor.New(c.InC, inH, inW)
-	}
+	dx := tensor.New(x.Shape...)
 	inStride := c.InC * inH * inW
 	for s := 0; s < n; s++ {
 		Col2im(dcols[s*kk*p:(s+1)*kk*p], c.InC, inH, inW, c.K, c.Stride, c.Pad, dx.Data[s*inStride:(s+1)*inStride])
@@ -104,15 +95,29 @@ func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 
 // weightGrads accumulates the weight and bias gradients from dy and
 // the tap-major columns Forward left. Each weight's sum over a sample's
-// pixels runs in ascending pixel order, then adds into GW.
-func (c *Conv2D) weightGrads(dy, cols []float32, n, p, kk int) {
+// pixels runs in ascending pixel order from +0, then adds into GW, one
+// sample after another.
+func (c *Conv2D) weightGrads(dy, cols []float32, st *State, n, p, kk int) {
+	var xs []float32
+	if p == 1 {
+		// One output pixel per sample (a dense layer, LeNet-5's conv3):
+		// each weight's sum is one product. Unspanned, a sample's
+		// columns are one contiguous row, so a channel's weight
+		// gradients take one pass over it.
+		xs = grow(&st.span, n*kk)
+		unspan(xs, cols, n, kk, 1)
+	}
 	for s := 0; s < n; s++ {
 		dyd := dy[s*c.OutC*p : (s+1)*c.OutC*p]
 		for oc := 0; oc < c.OutC; oc++ {
 			d := dyd[oc*p : (oc+1)*p]
 			gw := c.GW[oc*kk : (oc+1)*kk]
-			for q := range gw {
-				gw[q] += dot1x1(d, cols[q*n*p+s*p:q*n*p+(s+1)*p])
+			if xs != nil {
+				axpy1(gw, d[0], xs[s*kk:(s+1)*kk])
+			} else {
+				for q := range gw {
+					gw[q] += dot1x1(d, cols[q*n*p+s*p:q*n*p+(s+1)*p])
+				}
 			}
 			var sb float32
 			for _, v := range d {

@@ -9,7 +9,11 @@ import (
 )
 
 // Dense is a fully connected layer over flat [In] samples or [N,In]
-// batches.
+// batches. It runs as a 1x1 conv over a 1x1 input on the conv layers'
+// lane GEMM (gemm_lanes.go): each sample has one output pixel, so the
+// batch's samples fill the lanes. Each output reduces its inputs in
+// ascending index order from +0, rounding each product before the add,
+// then adds the bias.
 type Dense struct {
 	In, Out int
 
@@ -36,6 +40,12 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	return d
 }
 
+// conv views d as the 1x1 conv it runs as, sharing d's weights and
+// gradient buffers.
+func (d *Dense) conv() *Conv2D {
+	return &Conv2D{InC: d.In, OutC: d.Out, K: 1, Stride: 1, W: d.W, B: d.B, GW: d.GW, GB: d.GB}
+}
+
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.T, st *State) *tensor.T {
 	n, sample := batchDims(x, 1)
@@ -43,63 +53,22 @@ func (d *Dense) Forward(x *tensor.T, st *State) *tensor.T {
 		panic(fmt.Sprintf("nn: Dense expects %d inputs, got shape %v", d.In, x.Shape))
 	}
 	st.x = x
-	var y *tensor.T
-	if len(x.Shape) == 2 {
-		y = tensor.New(n, d.Out)
-	} else {
-		y = tensor.New(d.Out)
-	}
-	for s := 0; s < n; s++ {
-		xd := x.Data[s*d.In : (s+1)*d.In]
-		yd := y.Data[s*d.Out : (s+1)*d.Out]
-		for o := 0; o < d.Out; o++ {
-			w := d.W[o*d.In : (o+1)*d.In]
-			var sum float32
-			for i, v := range xd {
-				sum += w[i] * v
-			}
-			yd[o] = sum + d.B[o]
-		}
-	}
+	y := batchLike(x, 1, d.Out)
+	d.conv().forwardLanes(x.Data, y.Data, st, n, 1, 1, 1, d.In)
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The input gradient's columns are already
+// dx's [N][In] layout, so nothing is scattered back.
 func (d *Dense) Backward(dy *tensor.T, st *State) *tensor.T {
 	x := st.x
 	n, _ := batchDims(x, 1)
-	var dx *tensor.T
-	if len(x.Shape) == 2 {
-		dx = tensor.New(n, d.In)
-	} else {
-		dx = tensor.New(d.In)
+	c := d.conv()
+	if st.accumGrads {
+		c.weightGrads(dy.Data, st.cols[:n*d.In], st, n, 1, d.In)
 	}
-	for s := 0; s < n; s++ {
-		xd := x.Data[s*d.In : (s+1)*d.In]
-		dxd := dx.Data[s*d.In : (s+1)*d.In]
-		dyd := dy.Data[s*d.Out : (s+1)*d.Out]
-		for o := 0; o < d.Out; o++ {
-			g := dyd[o]
-			if st.accumGrads {
-				d.GB[o] += g
-			}
-			if g == 0 {
-				continue
-			}
-			w := d.W[o*d.In : (o+1)*d.In]
-			if st.accumGrads {
-				gw := d.GW[o*d.In : (o+1)*d.In]
-				for i, v := range xd {
-					gw[i] += g * v
-					dxd[i] += g * w[i]
-				}
-			} else {
-				for i := range dxd {
-					dxd[i] += g * w[i]
-				}
-			}
-		}
-	}
+	dx := tensor.New(x.Shape...)
+	c.inputGradLanes(dy.Data, dx.Data, st, n, 1, d.In)
 	return dx
 }
 

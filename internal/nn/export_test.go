@@ -17,13 +17,26 @@ func (r refConv) Backward(dy *tensor.T, st *State) *tensor.T { return r.refBackw
 // The wrapper shares c's weights and gradient buffers.
 func RefConv(c *Conv2D) Layer { return refConv{c} }
 
+// refDense runs a Dense through the reference kernels.
+type refDense struct{ *Dense }
+
+func (r refDense) Forward(x *tensor.T, st *State) *tensor.T   { return r.refForward(x, st) }
+func (r refDense) Backward(dy *tensor.T, st *State) *tensor.T { return r.refBackward(dy, st) }
+
+// RefDense wraps d so Forward and Backward run the reference kernels.
+// The wrapper shares d's weights and gradient buffers.
+func RefDense(d *Dense) Layer { return refDense{d} }
+
 // RefNetwork returns a DeepClone of n (private weights and gradient
-// buffers) whose conv layers run the reference kernels.
+// buffers) whose conv and dense layers run the reference kernels.
 func RefNetwork(n *Network) *Network {
 	c := n.DeepClone()
 	for i, l := range c.Layers {
-		if conv, ok := l.(*Conv2D); ok {
-			c.Layers[i] = refConv{conv}
+		switch l := l.(type) {
+		case *Conv2D:
+			c.Layers[i] = refConv{l}
+		case *Dense:
+			c.Layers[i] = refDense{l}
 		}
 	}
 	return c
@@ -33,7 +46,7 @@ func RefNetwork(n *Network) *Network {
 // gradients, as Network.AccumGrad prepares it.
 func TrainingState() *State { return &State{accumGrads: true} }
 
-// ForceGoTile switches Conv2D to the Go microkernel and returns a func
+// ForceGoTile switches Conv2D and Dense to the Go microkernel and returns a func
 // that restores the previous choice.
 func ForceGoTile() (restore func()) {
 	prev := useLanes

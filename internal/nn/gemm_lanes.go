@@ -2,7 +2,8 @@ package nn
 
 import "repro/internal/cpufeat"
 
-// Lane GEMM for the conv layers. Lanes run along the pixel axis, so
+// Lane GEMM for the conv layers, and for the dense layers, which run
+// as 1x1 convs over a 1x1 input. Lanes run along the pixel axis, so
 // both conv products read their operands in the layouts they already
 // have and write their outputs in place:
 //
@@ -13,9 +14,10 @@ import "repro/internal/cpufeat"
 //     straight from W and dy, with no transposed copy of either.
 //
 // W is read one broadcast element at a time. A layer whose sample has
-// fewer pixels than a lane block (LeNet-5's conv3, a 1x1 output) runs
-// with lanes spanning the batch instead, through scratch that is
-// gathered and scattered per call (span, unspan).
+// fewer pixels than a lane block (LeNet-5's conv3 and every dense
+// layer have a 1x1 output) runs with lanes spanning the batch instead,
+// through scratch that is gathered and scattered per call (span,
+// unspan).
 //
 // Two microkernels compute four rows x n lanes over the same operands.
 // On AVX2 hosts (gemm_amd64.s) eight lanes sit side by side in one YMM
@@ -29,7 +31,7 @@ import "repro/internal/cpufeat"
 // features; only tests switch it (export_test.go).
 var useLanes = cpufeat.AVX2
 
-// FloatGEMM names the conv GEMM microkernel this process runs: "avx2"
+// FloatGEMM names the lane GEMM microkernel this process runs: "avx2"
 // for the assembly kernel, "go" for the portable Go loop.
 func FloatGEMM() string {
 	if useLanes {
@@ -153,9 +155,15 @@ func gemm4Go(c []float32, ldc int, a []float32, aRow, aStep int, b []float32, ld
 func (c *Conv2D) forwardLanes(x, y []float32, st *State, n, inH, inW, p, kk int) {
 	ld := n * p
 	cols := grow(&st.cols, kk*ld)
-	inStride := c.InC * inH * inW
-	for s := 0; s < n; s++ {
-		im2colTaps(x[s*inStride:(s+1)*inStride], c.InC, inH, inW, c.K, c.Stride, c.Pad, cols[s*p:], ld)
+	if c.K == 1 && c.Stride == 1 && c.Pad == 0 {
+		// A 1x1 conv's columns are its input's rows (a dense layer's
+		// inputs), spanned.
+		span(cols, x, n, c.InC, p)
+	} else {
+		inStride := c.InC * inH * inW
+		for s := 0; s < n; s++ {
+			im2colTaps(x[s*inStride:(s+1)*inStride], c.InC, inH, inW, c.K, c.Stride, c.Pad, cols[s*p:], ld)
+		}
 	}
 	if p >= minLanePixels {
 		for s := 0; s < n; s++ {
@@ -255,6 +263,17 @@ func im2colTaps(x []float32, inC, h, w, k, stride, pad int, cols []float32, ld i
 				}
 			}
 		}
+	}
+}
+
+// axpy1 adds a·x[q] to each y[q] as a one-pixel dot1x1: the product
+// rounded and added to +0 before it goes into y.
+func axpy1(y []float32, a float32, x []float32) {
+	y = y[:len(x)]
+	for q, v := range x {
+		var t float32
+		t += float32(a * v)
+		y[q] += t
 	}
 }
 

@@ -95,3 +95,12 @@ func batchDims(x *tensor.T, sampleRank int) (n int, sample []int) {
 	}
 	return 1, x.Shape
 }
+
+// batchLike returns a zeroed layer output for input x: x's batch
+// dimension, if it has one, then the given sample shape.
+func batchLike(x *tensor.T, sampleRank int, sample ...int) *tensor.T {
+	if len(x.Shape) == sampleRank+1 {
+		return tensor.New(append([]int{x.Shape[0]}, sample...)...)
+	}
+	return tensor.New(sample...)
+}

@@ -32,12 +32,7 @@ func (p *AvgPool2D) Forward(x *tensor.T, st *State) *tensor.T {
 	inC, inH, inW := sample[0], sample[1], sample[2]
 	outH := (inH-p.K)/p.Stride + 1
 	outW := (inW-p.K)/p.Stride + 1
-	var y *tensor.T
-	if len(x.Shape) == 4 {
-		y = tensor.New(n, inC, outH, outW)
-	} else {
-		y = tensor.New(inC, outH, outW)
-	}
+	y := batchLike(x, 3, inC, outH, outW)
 	inv := 1 / float32(p.K*p.K)
 	for s := 0; s < n; s++ {
 		xd := x.Data[s*inC*inH*inW:]
@@ -69,12 +64,7 @@ func (p *AvgPool2D) Backward(dy *tensor.T, st *State) *tensor.T {
 	inC, inH, inW := sample[0], sample[1], sample[2]
 	outH := (inH-p.K)/p.Stride + 1
 	outW := (inW-p.K)/p.Stride + 1
-	var dx *tensor.T
-	if len(x.Shape) == 4 {
-		dx = tensor.New(n, inC, inH, inW)
-	} else {
-		dx = tensor.New(inC, inH, inW)
-	}
+	dx := tensor.New(x.Shape...)
 	inv := 1 / float32(p.K*p.K)
 	for s := 0; s < n; s++ {
 		dyd := dy.Data[s*inC*outH*outW:]

@@ -2,13 +2,16 @@ package nn
 
 import "repro/internal/tensor"
 
-// The reference kernels below are the pre-tiling Conv2D forward and
-// backward passes, kept verbatim: tap-major im2col columns
-// ([N][InC*K*K][P]) and, per sample and output channel, one axpy over
-// the sample's pixels per tap, skipping zero weights. They are the
-// ground truth for the bit-for-bit parity suite (TestFloatTiledParity)
-// and the seed side of BenchmarkFloatTiledVsSeed; nothing outside this
-// package's tests calls them.
+// The reference kernels below are the pre-tiling Conv2D and Dense
+// forward and backward passes, kept verbatim: for Conv2D, tap-major
+// im2col columns ([N][InC*K*K][P]) and, per sample and output channel,
+// one axpy over the sample's pixels per tap, skipping zero weights; for
+// Dense, one scalar dot product per sample and output, and a backward
+// pass that skips zero output gradients. Every product is rounded
+// before its add (an explicit float32 conversion), so no platform fuses
+// them. They are the ground truth for the bit-for-bit parity suite
+// (TestFloatTiledParity) and the seed side of BenchmarkFloatTiledVsSeed;
+// nothing outside this package's tests calls them.
 
 // refForward is the seed Conv2D.Forward.
 func (c *Conv2D) refForward(x *tensor.T, st *State) *tensor.T {
@@ -152,4 +155,69 @@ func refCol2im(cols []float32, inC, h, w, k, stride, pad int, dst []float32) {
 			}
 		}
 	}
+}
+
+// refForward is the seed Dense.Forward.
+func (d *Dense) refForward(x *tensor.T, st *State) *tensor.T {
+	n, _ := batchDims(x, 1)
+	st.x = x
+	var y *tensor.T
+	if len(x.Shape) == 2 {
+		y = tensor.New(n, d.Out)
+	} else {
+		y = tensor.New(d.Out)
+	}
+	for s := 0; s < n; s++ {
+		xd := x.Data[s*d.In : (s+1)*d.In]
+		yd := y.Data[s*d.Out : (s+1)*d.Out]
+		for o := 0; o < d.Out; o++ {
+			w := d.W[o*d.In : (o+1)*d.In]
+			var sum float32
+			for i, v := range xd {
+				sum += float32(w[i] * v)
+			}
+			yd[o] = sum + d.B[o]
+		}
+	}
+	return y
+}
+
+// refBackward is the seed Dense.Backward; it must follow refForward on
+// the same State.
+func (d *Dense) refBackward(dy *tensor.T, st *State) *tensor.T {
+	x := st.x
+	n, _ := batchDims(x, 1)
+	var dx *tensor.T
+	if len(x.Shape) == 2 {
+		dx = tensor.New(n, d.In)
+	} else {
+		dx = tensor.New(d.In)
+	}
+	for s := 0; s < n; s++ {
+		xd := x.Data[s*d.In : (s+1)*d.In]
+		dxd := dx.Data[s*d.In : (s+1)*d.In]
+		dyd := dy.Data[s*d.Out : (s+1)*d.Out]
+		for o := 0; o < d.Out; o++ {
+			g := dyd[o]
+			if st.accumGrads {
+				d.GB[o] += g
+			}
+			if g == 0 {
+				continue
+			}
+			w := d.W[o*d.In : (o+1)*d.In]
+			if st.accumGrads {
+				gw := d.GW[o*d.In : (o+1)*d.In]
+				for i, v := range xd {
+					gw[i] += float32(g * v)
+					dxd[i] += float32(g * w[i])
+				}
+			} else {
+				for i := range dxd {
+					dxd[i] += float32(g * w[i])
+				}
+			}
+		}
+	}
+	return dx
 }

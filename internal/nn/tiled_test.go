@@ -52,10 +52,10 @@ func zeroSomeWeights(net *nn.Network) {
 }
 
 // TestFloatTiledParity pins the lane GEMM's microkernel to a scalar
-// loop of the same sums over every lane tail, and the conv layers to
-// the reference kernels bit for bit: forward outputs, input gradients,
-// and weight and bias gradients, on every shape the model builders
-// produce and on edge shapes, for batches and single samples. It runs
+// loop of the same sums over every lane tail, and the conv and dense
+// layers to the reference kernels bit for bit: forward outputs, input
+// gradients, and weight and bias gradients, on every shape the model
+// builders produce and on edge shapes, for batches and single samples. It runs
 // on the microkernel this CPU selects (the AVX2 kernel where the CPU
 // has it) and, on AVX2 hosts, once more with the Go microkernel forced
 // ("go").
@@ -108,6 +108,30 @@ func floatTiledParity(t *testing.T) {
 		}
 	})
 
+	// Dense layers run as 1x1 convs over a 1x1 input: the batch fills
+	// the lanes, so batches of 1, 7, 8 and 9 take a masked tail alone,
+	// one short of a block, one block, and a block plus a tail.
+	t.Run("dense", func(t *testing.T) {
+		shapes := [][2]int{
+			{28 * 28, 128}, // FFNN dense1
+			{128, 64},      // FFNN dense2
+			{64, 10},       // FFNN logits
+			{120, 84},      // LeNet-5 dense1
+			{84, 10},       // LeNet-5 logits
+			{7, 3},         // Out under one row block
+			{5, 1},         // one output
+			{1, 6},         // one input
+			{3, 9},         // Out = 9 (4k+1 rows)
+		}
+		for _, sh := range shapes {
+			for _, n := range []int{0, 1, 7, 8, 9} { // 0: unbatched sample
+				for _, accum := range []bool{true, false} {
+					denseParity(t, sh[0], sh[1], n, accum, spiky, spiky, spiky)
+				}
+			}
+		}
+	})
+
 	// Signed zeros and infinities in the input and the output gradient.
 	// No weight is zero here: the reference skips zero weights, which
 	// against an infinite input would skip a NaN product.
@@ -137,6 +161,18 @@ func floatTiledParity(t *testing.T) {
 		} {
 			for _, n := range []int{0, 3} {
 				convParity(t, sh, n, nonzero, special)
+			}
+		}
+		// The dense reference skips zero output gradients instead, so
+		// there the output gradient holds infinities but no zeros, and
+		// the weights stay spiky.
+		infinite := func(data []float32, rng *rand.Rand) {
+			special(data, rng)
+			nonzero(data, rng)
+		}
+		for _, sh := range [][2]int{{28 * 28, 128}, {84, 10}, {7, 3}} {
+			for _, n := range []int{0, 3, 9} {
+				denseParity(t, sh[0], sh[1], n, true, spiky, special, infinite)
 			}
 		}
 	})
@@ -291,6 +327,48 @@ func convParity(t *testing.T, sh convShape, n int, fillW, fill func([]float32, *
 			sameBits(t, "input gradient", dx.Data, dxRef.Data)
 			sameBits(t, "weight gradient", tiled.GW, ref.GW)
 			sameBits(t, "bias gradient", tiled.GB, ref.GB)
+		}
+	})
+}
+
+// denseParity runs one In x Out Dense layer on a batch of n samples (0:
+// one unbatched sample) through the lane kernel and the reference
+// kernels and compares outputs and gradients bit for bit over two
+// passes, with weight gradients accumulated (accum) or not. fillW fills
+// the weights, fillX the input and fillDy the output gradients (the
+// biases are spiky).
+func denseParity(t *testing.T, in, out, n int, accum bool, fillW, fillX, fillDy func([]float32, *rand.Rand)) {
+	name := fmt.Sprintf("dense%dx%d_n%d_accum%t", in, out, n, accum)
+	t.Run(name, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(int64(in*1000 + out*10 + n)))
+		lanes := nn.NewDense(in, out, rng)
+		fillW(lanes.W, rng)
+		spiky(lanes.B, rng)
+		ref := lanes.CloneDetached().(*nn.Dense)
+
+		xShape := []int{in}
+		if n > 0 {
+			xShape = append([]int{n}, xShape...)
+		}
+		x := tensor.New(xShape...)
+		fillX(x.Data, rng)
+
+		for pass := 0; pass < 2; pass++ {
+			lst, rst := &nn.State{}, &nn.State{}
+			if accum {
+				lst, rst = nn.TrainingState(), nn.TrainingState()
+			}
+			y := lanes.Forward(x, lst)
+			yRef := nn.RefDense(ref).Forward(x, rst)
+			sameBits(t, "forward", y.Data, yRef.Data)
+
+			dy := tensor.New(y.Shape...)
+			fillDy(dy.Data, rng)
+			dx := lanes.Backward(dy, lst)
+			dxRef := nn.RefDense(ref).Backward(dy, rst)
+			sameBits(t, "input gradient", dx.Data, dxRef.Data)
+			sameBits(t, "weight gradient", lanes.GW, ref.GW)
+			sameBits(t, "bias gradient", lanes.GB, ref.GB)
 		}
 	})
 }

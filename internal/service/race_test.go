@@ -267,7 +267,7 @@ func TestConcurrentJobsCompileOnce(t *testing.T) {
 			defer wg.Done()
 			spec := tinySpec()
 			spec.Attacks = []string{"FGM-linf"}
-			spec.Multipliers = []string{designs[i%4], designs[(i/4+i%4+1)%4]}
+			spec.Multipliers = []string{designs[i%4], designs[(i%4+1+i/4%3)%4]}
 			// Distinct sample counts make distinct jobs (no dedup); the
 			// victims still calibrate on the same leading test samples.
 			spec.Samples = 20 + i
