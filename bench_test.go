@@ -468,10 +468,10 @@ func BenchmarkQuantizedInferenceLeNet(b *testing.B) {
 		b.Fatal(err)
 	}
 	q = q.WithMultiplier(axmult.MustLookup("mul8u_17KS"))
-	x := m.Test.X[0]
+	x := m.Test.X[0].Unsqueeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Logits(x)
+		q.LogitsBatch(x)
 	}
 }
 
@@ -485,10 +485,10 @@ func BenchmarkQuantizedInferenceAlexNet(b *testing.B) {
 		b.Fatal(err)
 	}
 	q = q.WithMultiplier(axmult.MustLookup("mul8u_QJD"))
-	x := m.Test.X[0]
+	x := m.Test.X[0].Unsqueeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Logits(x)
+		q.LogitsBatch(x)
 	}
 }
 
@@ -497,10 +497,10 @@ func BenchmarkFloatInferenceLeNet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := m.Test.X[0]
+	x := m.Test.X[0].Unsqueeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Net.Logits(x)
+		m.Net.LogitsBatch(x)
 	}
 }
 
@@ -510,20 +510,21 @@ func BenchmarkAttackPGDLinf(b *testing.B) {
 		b.Fatal(err)
 	}
 	atk := attack.ByName("PGD-linf")
-	rng := rand.New(rand.NewSource(1))
-	x, y := m.Test.X[0], m.Test.Y[0]
+	rngs := []*rand.Rand{rand.New(rand.NewSource(1))}
+	x, y := m.Test.X[0].Unsqueeze(), m.Test.Y[:1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adv := atk.Perturb(m.Net, x, y, 0.1, rng)
+		adv := atk.PerturbBatch(m.Net, x, y, 0.1, rngs)
 		if adv.Len() != x.Len() {
 			b.Fatal("bad adv")
 		}
 	}
 }
 
-// BenchmarkBatchVsScalar tracks the throughput (samples/sec) of
-// batched vs per-sample inference for the LeNet-5 float and AxDNN
-// paths — the speedup the batched, stateless engine exists to deliver.
+// BenchmarkBatchVsScalar tracks the throughput (samples/sec) of one
+// 64-row batch vs 64 one-sample batches ("scalar") for the LeNet-5
+// float and AxDNN paths — the speedup the batched, stateless engine
+// exists to deliver.
 func BenchmarkBatchVsScalar(b *testing.B) {
 	m, err := modelzoo.Get("lenet5-digits")
 	if err != nil {
@@ -535,15 +536,18 @@ func BenchmarkBatchVsScalar(b *testing.B) {
 	}
 	q = q.WithMultiplier(axmult.MustLookup("mul8u_17KS"))
 	const batchN = 64
-	xs := m.Test.X[:batchN]
-	batch := tensor.Stack(xs)
+	batch := tensor.Stack(m.Test.X[:batchN])
+	var xs []*tensor.T
+	for _, x := range m.Test.X[:batchN] {
+		xs = append(xs, x.Unsqueeze())
+	}
 	throughput := func(b *testing.B) {
 		b.ReportMetric(float64(batchN*b.N)/b.Elapsed().Seconds(), "samples/sec")
 	}
 	b.Run("float/scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, x := range xs {
-				m.Net.Logits(x)
+				m.Net.LogitsBatch(x)
 			}
 		}
 		throughput(b)
@@ -557,7 +561,7 @@ func BenchmarkBatchVsScalar(b *testing.B) {
 	b.Run("axdnn/scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, x := range xs {
-				q.Logits(x)
+				q.LogitsBatch(x)
 			}
 		}
 		throughput(b)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/errmodel"
 	"repro/internal/experiment"
 	"repro/internal/modelzoo"
+	"repro/internal/tensor"
 )
 
 func main() {
@@ -38,9 +39,9 @@ func main() {
 		log.Fatal(err)
 	}
 	axdnn := q.WithMultiplier(axmult.MustLookup("mul8u_JV3"))
-	x := m.Test.X[0]
+	x := m.Test.X[0].Unsqueeze() // models score batches: this one holds sample 0
 	fmt.Printf("sample 0: label %d, quantized-accurate says %d, AxDNN(JV3) says %d\n",
-		m.Test.Y[0], q.Predict(x), axdnn.Predict(x))
+		m.Test.Y[0], tensor.ArgMaxRows(q.LogitsBatch(x))[0], tensor.ArgMaxRows(axdnn.LogitsBatch(x))[0])
 
 	// 4. Run Algorithm 1 as a one-attack spec: craft PGD-linf examples
 	// on the accurate float model, replay them on both victims (the

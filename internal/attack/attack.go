@@ -17,11 +17,12 @@
 // inexactness); the perturbed inputs are then replayed on AxDNN victims
 // by the harness in internal/core.
 //
-// Every attack also has a batched form (see BatchAttack / AsBatch):
-// gradient attacks craft whole batches per gradient step, decision
-// attacks keep their scalar query semantics behind a per-row adapter,
-// and both reproduce the scalar perturbations bit for bit under the
-// same per-sample seeds.
+// Every attack crafts whole batches (Attack.PerturbBatch) and every
+// model scores whole batches (Model.LogitsBatch): gradient attacks take
+// one batched gradient per step, the noise attacks score each repeat
+// over the rows not yet fooled in one call, and CR needs no model.
+// Row r depends only on sample r and its own rng stream, so a batch
+// crafts the same bytes whatever chunks it is split into.
 package attack
 
 import (
@@ -31,18 +32,30 @@ import (
 	"repro/internal/tensor"
 )
 
-// Model is the minimal classifier interface the decision-based attacks
-// need.
+// Model is a classifier that scores whole batches: LogitsBatch takes
+// [N, sampleShape...] and returns [N, classes]. Row r must not depend on
+// the other rows, so a batch scores the same bytes whatever chunks it
+// is split into. The float networks (internal/nn), the AxDNNs
+// (internal/axnn) and the randomized ensemble (internal/defense) all
+// implement it.
 type Model interface {
-	Logits(x *tensor.T) []float32
+	LogitsBatch(xs *tensor.T) *tensor.T
 }
 
-// GradModel additionally exposes the loss gradient w.r.t. the input,
-// as required by the gradient-based attacks. internal/nn networks
-// implement it.
+// BatchModel is the former name of Model.
+//
+// Deprecated: use Model. The alias stays only until the suite
+// benchmark's sources move to Model.
+type BatchModel = Model
+
+// GradModel additionally exposes the batched loss gradient w.r.t. the
+// input, as required by the gradient-based attacks: LossGradBatch takes
+// a batch and one label per row and returns the per-row losses and the
+// [N, sampleShape...] input gradient. internal/nn networks implement
+// it.
 type GradModel interface {
 	Model
-	LossGrad(x *tensor.T, label int) (float32, *tensor.T)
+	LossGradBatch(xs *tensor.T, labels []int) ([]float32, *tensor.T)
 }
 
 // Norm identifies the distance metric bounding a perturbation.
@@ -62,20 +75,18 @@ func (n Norm) String() string {
 	return "l2"
 }
 
-// Attack crafts an adversarial example for (x, label) within budget eps.
-// Implementations must not modify x and must be safe for concurrent use
-// with distinct rng instances. Gradient-based attacks require m to be a
-// GradModel and panic otherwise (a configuration bug, not a runtime
-// condition).
+// Attack crafts adversarial examples for a batch xs [N, sampleShape...]
+// with one label per row, within budget eps. rngs holds one independent
+// deterministic stream per row, and row r consumes only rngs[r], so the
+// crafted rows do not depend on how a set is chunked into batches.
+// Implementations must not modify xs and must be safe for concurrent
+// use with distinct rng instances. Gradient-based attacks require m to
+// be a GradModel and panic otherwise (a configuration bug, not a
+// runtime condition).
 type Attack interface {
 	Name() string
 	Norm() Norm
-	Perturb(m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T
-}
-
-// fooled reports whether m misclassifies x w.r.t. label.
-func fooled(m Model, x *tensor.T, label int) bool {
-	return tensor.ArgMax(m.Logits(x)) != label
+	PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64, rngs []*rand.Rand) *tensor.T
 }
 
 // mustGrad asserts the model supports gradients.
@@ -114,6 +125,13 @@ func uniformDir(shape []int, rng *rand.Rand) *tensor.T {
 	return d
 }
 
+// stepL2Rows applies stepL2 row by row with a shared step length.
+func stepL2Rows(x, d *tensor.T, alpha float64) {
+	for r := 0; r < x.Rows(); r++ {
+		stepL2(x.Row(r), d.Row(r), alpha)
+	}
+}
+
 // project applies the norm-appropriate projection of adv into the
 // eps-ball around x.
 func project(norm Norm, adv, x *tensor.T, eps float64) {
@@ -121,6 +139,16 @@ func project(norm Norm, adv, x *tensor.T, eps float64) {
 		tensor.ProjectLinf(adv, x, eps)
 	} else {
 		tensor.ProjectL2(adv, x, eps)
+	}
+}
+
+// projectRows applies the norm-appropriate per-row projection of adv
+// into the eps-ball around the matching row of x.
+func projectRows(norm Norm, adv, x *tensor.T, eps float64) {
+	if norm == Linf {
+		tensor.ProjectLinfRows(adv, x, eps)
+	} else {
+		tensor.ProjectL2Rows(adv, x, eps)
 	}
 }
 

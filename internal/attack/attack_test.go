@@ -31,10 +31,20 @@ var trainedModel = func() func(t *testing.T) (GradModel, *dataset.Set) {
 // GradHolder pins the concrete type so tests share one instance.
 type GradHolder struct{ N GradModel }
 
+// predict scores one sample as a one-sample batch.
+func predict(m Model, x *tensor.T) int {
+	return tensor.ArgMax(m.LogitsBatch(x.Unsqueeze()).Data)
+}
+
+// perturb crafts one sample as a one-sample batch on rng.
+func perturb(atk Attack, m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T {
+	return atk.PerturbBatch(m, x.Unsqueeze(), []int{label}, eps, []*rand.Rand{rng}).Row(0)
+}
+
 func correctSample(t *testing.T, m Model, set *dataset.Set) (*tensor.T, int) {
 	t.Helper()
 	for i := range set.X {
-		if tensor.ArgMax(m.Logits(set.X[i])) == set.Y[i] {
+		if predict(m, set.X[i]) == set.Y[i] {
 			return set.X[i], set.Y[i]
 		}
 	}
@@ -85,7 +95,7 @@ func TestNormBudgetsRespected(t *testing.T) {
 	const eps = 0.3
 	for _, atk := range All() {
 		rng := rand.New(rand.NewSource(1))
-		adv := atk.Perturb(m, x, y, eps, rng)
+		adv := perturb(atk, m, x, y, eps, rng)
 		d := tensor.Sub(adv, x)
 		var got float64
 		if atk.Norm() == Linf {
@@ -104,7 +114,7 @@ func TestBoxConstraint(t *testing.T) {
 	x, y := correctSample(t, m, set)
 	for _, atk := range All() {
 		rng := rand.New(rand.NewSource(2))
-		adv := atk.Perturb(m, x, y, 1.0, rng)
+		adv := perturb(atk, m, x, y, 1.0, rng)
 		for _, v := range adv.Data {
 			if v < 0 || v > 1 {
 				t.Errorf("%s left the [0,1] box: %f", atk.Name(), v)
@@ -118,7 +128,7 @@ func TestZeroEpsilonIsIdentity(t *testing.T) {
 	x, y := correctSample(t, m, set)
 	for _, atk := range All() {
 		rng := rand.New(rand.NewSource(3))
-		adv := atk.Perturb(m, x, y, 0, rng)
+		adv := perturb(atk, m, x, y, 0, rng)
 		for i := range adv.Data {
 			if adv.Data[i] != x.Data[i] {
 				t.Errorf("%s modified the input at eps=0", atk.Name())
@@ -134,7 +144,7 @@ func TestInputNeverMutated(t *testing.T) {
 	orig := x.Clone()
 	for _, atk := range All() {
 		rng := rand.New(rand.NewSource(4))
-		atk.Perturb(m, x, y, 0.5, rng)
+		perturb(atk, m, x, y, 0.5, rng)
 		for i := range x.Data {
 			if x.Data[i] != orig.Data[i] {
 				t.Fatalf("%s mutated its input", atk.Name())
@@ -152,13 +162,13 @@ func TestGradientAttacksReduceAccuracy(t *testing.T) {
 		fooledCnt, total := 0, 0
 		for i := 0; i < 60; i++ {
 			x, y := set.X[i], set.Y[i]
-			if tensor.ArgMax(m.Logits(x)) != y {
+			if predict(m, x) != y {
 				continue
 			}
 			total++
 			rng := rand.New(rand.NewSource(int64(i)))
-			adv := atk.Perturb(m, x, y, 0.25, rng)
-			if tensor.ArgMax(m.Logits(adv)) != y {
+			adv := perturb(atk, m, x, y, 0.25, rng)
+			if predict(m, adv) != y {
 				fooledCnt++
 			}
 		}
@@ -180,15 +190,15 @@ func TestIterativeStrongerThanSingleStep(t *testing.T) {
 	fgmFooled, bimFooled := 0, 0
 	for i := 0; i < 80; i++ {
 		x, y := set.X[i], set.Y[i]
-		if tensor.ArgMax(m.Logits(x)) != y {
+		if predict(m, x) != y {
 			continue
 		}
 		rng1 := rand.New(rand.NewSource(int64(i)))
 		rng2 := rand.New(rand.NewSource(int64(i)))
-		if tensor.ArgMax(m.Logits(fgm.Perturb(m, x, y, 0.12, rng1))) != y {
+		if predict(m, perturb(fgm, m, x, y, 0.12, rng1)) != y {
 			fgmFooled++
 		}
-		if tensor.ArgMax(m.Logits(bim.Perturb(m, x, y, 0.12, rng2))) != y {
+		if predict(m, perturb(bim, m, x, y, 0.12, rng2)) != y {
 			bimFooled++
 		}
 	}
@@ -200,14 +210,14 @@ func TestIterativeStrongerThanSingleStep(t *testing.T) {
 func TestCRMovesTowardGray(t *testing.T) {
 	atk := NewCR()
 	x := tensor.New(1, 4, 4) // all zeros
-	adv := atk.Perturb(nil, x, 0, 1.0, nil)
+	adv := perturb(atk, nil, x, 0, 1.0, nil)
 	for _, v := range adv.Data {
 		if v <= 0 || v > 0.5 {
 			t.Fatalf("CR moved pixel to %f, want in (0,0.5]", v)
 		}
 	}
 	// Full budget saturates at exactly gray.
-	advFull := atk.Perturb(nil, x, 0, 1e9, nil)
+	advFull := perturb(atk, nil, x, 0, 1e9, nil)
 	for _, v := range advFull.Data {
 		if v != 0.5 {
 			t.Fatalf("CR with huge budget should reach 0.5, got %f", v)
@@ -220,8 +230,8 @@ func TestNoiseAttacksDeterministicPerRNG(t *testing.T) {
 	x, y := correctSample(t, m, set)
 	for _, name := range []string{"RAG-l2", "RAU-l2", "RAU-linf"} {
 		atk := ByName(name)
-		a := atk.Perturb(m, x, y, 0.5, rand.New(rand.NewSource(42)))
-		b := atk.Perturb(m, x, y, 0.5, rand.New(rand.NewSource(42)))
+		a := perturb(atk, m, x, y, 0.5, rand.New(rand.NewSource(42)))
+		b := perturb(atk, m, x, y, 0.5, rand.New(rand.NewSource(42)))
 		for i := range a.Data {
 			if a.Data[i] != b.Data[i] {
 				t.Fatalf("%s not deterministic under a fixed rng", name)
@@ -236,12 +246,19 @@ func TestGradientAttackRequiresGradModel(t *testing.T) {
 			t.Fatal("expected panic for non-gradient model")
 		}
 	}()
-	NewFGM(Linf).Perturb(constModel{}, tensor.New(2), 0, 0.1, rand.New(rand.NewSource(1)))
+	perturb(NewFGM(Linf), constModel{}, tensor.New(2), 0, 0.1, rand.New(rand.NewSource(1)))
 }
 
+// constModel scores every row [1, 0] and has no gradients.
 type constModel struct{}
 
-func (constModel) Logits(*tensor.T) []float32 { return []float32{1, 0} }
+func (constModel) LogitsBatch(xs *tensor.T) *tensor.T {
+	out := tensor.New(xs.Rows(), 2)
+	for r := 0; r < xs.Rows(); r++ {
+		out.Data[2*r] = 1
+	}
+	return out
+}
 
 func TestNormStrings(t *testing.T) {
 	if L2.String() != "l2" || Linf.String() != "linf" {

@@ -28,69 +28,135 @@ func batchFixture(t *testing.T, n int) (GradModel, *tensor.T, []int, func() []*r
 	return m, tensor.Stack(xs), labels, rngs
 }
 
-// TestBatchedGradientAttacksMatchScalar is the seed-for-seed parity
-// test the batched engine rests on: PerturbBatch row r must equal the
-// scalar Perturb on sample r bit for bit, for every gradient attack
-// and both norms.
+// assertMatchesSingletons is the chunk-independence property core's
+// chunked crafting rests on: PerturbBatch row r must equal the same
+// attack run on sample r alone, as a one-sample batch on a fresh copy
+// of rng stream r, bit for bit.
+func assertMatchesSingletons(t *testing.T, atk Attack, m Model, batch *tensor.T, labels []int, eps float64, mkRngs func() []*rand.Rand) {
+	t.Helper()
+	adv := atk.PerturbBatch(m, batch, labels, eps, mkRngs())
+	if !adv.SameShape(batch) {
+		t.Fatalf("%s batch shape %v != %v", atk.Name(), adv.Shape, batch.Shape)
+	}
+	rngs := mkRngs()
+	for r := 0; r < batch.Rows(); r++ {
+		want := atk.PerturbBatch(m, batch.RowView(r, r+1), labels[r:r+1], eps, rngs[r:r+1])
+		got := adv.Row(r)
+		for j := range want.Data {
+			if got.Data[j] != want.Data[j] {
+				t.Fatalf("%s sample %d pixel %d: batch %v != one-sample batch %v",
+					atk.Name(), r, j, got.Data[j], want.Data[j])
+			}
+		}
+	}
+}
+
+// TestBatchedGradientAttacksMatchScalar: every gradient attack, in both
+// norms, crafts each row of a batch exactly as it crafts that sample
+// alone.
 func TestBatchedGradientAttacksMatchScalar(t *testing.T) {
 	m, batch, labels, mkRngs := batchFixture(t, 6)
 	for _, name := range []string{"FGM-l2", "FGM-linf", "BIM-l2", "BIM-linf", "PGD-l2", "PGD-linf", "MIFGSM-l2", "MIFGSM-linf"} {
-		atk := ByName(name)
-		b, ok := atk.(BatchAttack)
-		if !ok {
-			t.Fatalf("%s must implement BatchAttack natively", name)
-		}
-		adv := b.PerturbBatch(m, batch, labels, 0.2, mkRngs())
-		if !adv.SameShape(batch) {
-			t.Fatalf("%s batch shape %v != %v", name, adv.Shape, batch.Shape)
-		}
-		scalarRngs := mkRngs()
-		for r := 0; r < batch.Rows(); r++ {
-			want := atk.Perturb(m, batch.Row(r), labels[r], 0.2, scalarRngs[r])
-			got := adv.Row(r)
-			for j := range want.Data {
-				if got.Data[j] != want.Data[j] {
-					t.Fatalf("%s sample %d pixel %d: batch %v != scalar %v",
-						name, r, j, got.Data[j], want.Data[j])
-				}
-			}
-		}
+		assertMatchesSingletons(t, ByName(name), m, batch, labels, 0.2, mkRngs)
 	}
 }
 
-// TestAsBatchAdapterMatchesScalar: decision attacks go through the
-// scalar adapter and must likewise reproduce the scalar path exactly.
-func TestAsBatchAdapterMatchesScalar(t *testing.T) {
+// TestDecisionAttacksMatchSingletons: CR, RAG and RAU likewise craft
+// each row of a batch exactly as they craft that sample alone.
+func TestDecisionAttacksMatchSingletons(t *testing.T) {
 	m, batch, labels, mkRngs := batchFixture(t, 5)
 	for _, name := range []string{"CR-l2", "RAG-l2", "RAU-l2", "RAU-linf"} {
-		b := AsBatch(ByName(name))
-		adv := b.PerturbBatch(m, batch, labels, 0.4, mkRngs())
-		scalarRngs := mkRngs()
-		for r := 0; r < batch.Rows(); r++ {
-			want := ByName(name).Perturb(m, batch.Row(r), labels[r], 0.4, scalarRngs[r])
-			got := adv.Row(r)
-			for j := range want.Data {
-				if got.Data[j] != want.Data[j] {
-					t.Fatalf("%s sample %d diverged from scalar", name, r)
-				}
-			}
-		}
+		assertMatchesSingletons(t, ByName(name), m, batch, labels, 0.4, mkRngs)
 	}
 }
 
-// TestAsBatchIdentity: AsBatch must hand back native BatchAttack
-// implementations unchanged instead of wrapping them.
-func TestAsBatchIdentity(t *testing.T) {
-	fgm := NewFGM(Linf)
-	if AsBatch(fgm) != BatchAttack(fgm) {
-		t.Fatal("AsBatch re-wrapped a native BatchAttack")
+// thresholdModel is a two-class fake: it predicts class 1 exactly when
+// a row's first pixel exceeds 0.6, and records how many rows each call
+// scores.
+type thresholdModel struct{ calls []int }
+
+func (m *thresholdModel) LogitsBatch(xs *tensor.T) *tensor.T {
+	m.calls = append(m.calls, xs.Rows())
+	out := tensor.New(xs.Rows(), 2)
+	for r := 0; r < xs.Rows(); r++ {
+		if xs.Row(r).Data[0] > 0.6 {
+			out.Data[2*r+1] = 1
+		} else {
+			out.Data[2*r] = 1
+		}
 	}
-	cr := NewCR()
-	if _, ok := AsBatch(cr).(*scalarBatch); !ok {
-		t.Fatal("AsBatch must adapt scalar-only attacks")
+	return out
+}
+
+// TestNoiseAttackRowsFooledAtDifferentRepeats: rows that the noise
+// fools at different repeats, and rows it never fools, each keep what
+// the one-sample protocol keeps — the first fooling sample, or else
+// the last repeat's — and each repeat scores only the rows still open.
+func TestNoiseAttackRowsFooledAtDifferentRepeats(t *testing.T) {
+	// The further a row's first pixel sits below the 0.6 threshold, the
+	// later (if ever) a linf-0.05 step crosses it.
+	firsts := []float32{0.59, 0.58, 0.575, 0.57, 0.565, 0.56, 0.3, 0.2}
+	n := len(firsts)
+	xs := tensor.New(n, 4)
+	for r, v := range firsts {
+		copy(xs.Row(r).Data, []float32{v, 0.5, 0.5, 0.5})
 	}
-	if AsBatch(cr).Name() != cr.Name() {
-		t.Fatal("adapter must preserve the attack identity")
+	labels := make([]int, n)
+	const eps = 0.05
+	mkRngs := func() []*rand.Rand {
+		out := make([]*rand.Rand, n)
+		for i := range out {
+			out[i] = rand.New(rand.NewSource(int64(500 + i)))
+		}
+		return out
+	}
+	for _, atk := range []Attack{NewRAU(Linf), NewRAU(L2), NewRAG()} {
+		a := atk.(*noiseAttack)
+		m := &thresholdModel{}
+		adv := atk.PerturbBatch(m, xs, labels, eps, mkRngs())
+		for i := 1; i < len(m.calls); i++ {
+			if m.calls[i] > m.calls[i-1] {
+				t.Fatalf("%s: repeat %d scored %d rows after %d", atk.Name(), i, m.calls[i], m.calls[i-1])
+			}
+		}
+		if len(m.calls) >= a.repeats {
+			t.Fatalf("%s: %d scoring calls for %d repeats", atk.Name(), len(m.calls), a.repeats)
+		}
+		// Replay each row's draws one sample at a time.
+		rngs := mkRngs()
+		fooledAt := map[int]bool{}
+		for r := 0; r < n; r++ {
+			x := xs.Row(r)
+			var want *tensor.T
+			at := -1
+			for k := 0; k < a.repeats; k++ {
+				d := a.sample(x.Shape, rngs[r])
+				for d.LinfNorm() == 0 {
+					d = a.sample(x.Shape, rngs[r])
+				}
+				want = x.Clone()
+				if a.norm == Linf {
+					want.AddScaled(float32(eps/d.LinfNorm()), d)
+				} else {
+					stepL2(want, d, eps)
+				}
+				want.Clamp(0, 1)
+				if want.Data[0] > 0.6 {
+					at = k
+					break
+				}
+			}
+			fooledAt[at] = true
+			for j := range want.Data {
+				if adv.Row(r).Data[j] != want.Data[j] {
+					t.Fatalf("%s row %d (fooled at repeat %d) pixel %d: %v, want %v", atk.Name(), r, at, j, adv.Row(r).Data[j], want.Data[j])
+				}
+			}
+		}
+		if !fooledAt[-1] || len(fooledAt) < 3 {
+			t.Fatalf("%s: fixture fooled rows at repeats %v; want a never-fooled row and two distinct repeats", atk.Name(), fooledAt)
+		}
+		assertMatchesSingletons(t, atk, &thresholdModel{}, xs, labels, eps, mkRngs)
 	}
 }
 
@@ -100,7 +166,7 @@ func TestBatchNormBudgetsRespected(t *testing.T) {
 	m, batch, labels, mkRngs := batchFixture(t, 5)
 	const eps = 0.3
 	for _, name := range []string{"FGM-l2", "BIM-linf", "PGD-l2", "PGD-linf", "RAU-linf"} {
-		adv := AsBatch(ByName(name)).PerturbBatch(m, batch, labels, eps, mkRngs())
+		adv := ByName(name).PerturbBatch(m, batch, labels, eps, mkRngs())
 		d := tensor.Sub(adv, batch)
 		var norms []float64
 		if ByName(name).Norm() == Linf {
@@ -120,7 +186,7 @@ func TestBatchNormBudgetsRespected(t *testing.T) {
 func TestBatchZeroEps(t *testing.T) {
 	m, batch, labels, mkRngs := batchFixture(t, 4)
 	for _, name := range []string{"PGD-linf", "CR-l2"} {
-		adv := AsBatch(ByName(name)).PerturbBatch(m, batch, labels, 0, mkRngs())
+		adv := ByName(name).PerturbBatch(m, batch, labels, 0, mkRngs())
 		for j := range batch.Data {
 			if adv.Data[j] != batch.Data[j] {
 				t.Fatalf("%s modified the batch at eps=0", name)
@@ -129,12 +195,12 @@ func TestBatchZeroEps(t *testing.T) {
 	}
 }
 
-// TestBatchInputNeverMutated mirrors the scalar contract.
+// TestBatchInputNeverMutated: crafting never writes to its input batch.
 func TestBatchInputNeverMutated(t *testing.T) {
 	m, batch, labels, mkRngs := batchFixture(t, 4)
 	orig := batch.Clone()
 	for _, name := range []string{"FGM-linf", "PGD-l2", "RAU-linf"} {
-		AsBatch(ByName(name)).PerturbBatch(m, batch, labels, 0.3, mkRngs())
+		ByName(name).PerturbBatch(m, batch, labels, 0.3, mkRngs())
 		for j := range batch.Data {
 			if batch.Data[j] != orig.Data[j] {
 				t.Fatalf("%s mutated its input batch", name)

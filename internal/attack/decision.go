@@ -27,24 +27,28 @@ func (a *CR) Name() string { return "CR-l2" }
 // Norm implements Attack.
 func (a *CR) Norm() Norm { return L2 }
 
-// Perturb implements Attack.
-func (a *CR) Perturb(_ Model, x *tensor.T, _ int, eps float64, _ *rand.Rand) *tensor.T {
-	adv := x.Clone()
-	d := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		d.Data[i] = 0.5 - v
+// PerturbBatch implements Attack row by row; CR draws no randomness
+// and queries no model, so m and rngs are unused.
+func (a *CR) PerturbBatch(_ Model, xs *tensor.T, _ []int, eps float64, _ []*rand.Rand) *tensor.T {
+	out := xs.Clone()
+	for r := 0; r < out.Rows(); r++ {
+		adv := out.Row(r)
+		d := tensor.New(adv.Shape...)
+		for i, v := range adv.Data {
+			d.Data[i] = 0.5 - v
+		}
+		n := d.L2Norm()
+		if n == 0 {
+			continue
+		}
+		t := eps / n
+		if t > 1 {
+			t = 1 // fully gray; cannot move further along this direction
+		}
+		adv.AddScaled(float32(t), d)
+		adv.Clamp(0, 1)
 	}
-	n := d.L2Norm()
-	if n == 0 {
-		return adv
-	}
-	t := eps / n
-	if t > 1 {
-		t = 1 // fully gray; cannot move further along this direction
-	}
-	adv.AddScaled(float32(t), d)
-	adv.Clamp(0, 1)
-	return adv
+	return out
 }
 
 // noiseAttack implements the repeated additive noise family: sample a
@@ -76,32 +80,53 @@ func (a *noiseAttack) Name() string { return a.name }
 // Norm implements Attack.
 func (a *noiseAttack) Norm() Norm { return a.norm }
 
-// Perturb implements Attack.
-func (a *noiseAttack) Perturb(m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T {
+// PerturbBatch implements Attack. The repeats run in lock-step over
+// the rows not yet fooled: each open row draws its next direction from
+// its own rngs[r] (redrawing zero directions), and one LogitsBatch call
+// scores every open row's candidate. A fooled row keeps that
+// candidate; a row no repeat fools keeps the last one. The last
+// repeat's candidates are kept whatever they score, so they are not
+// scored.
+func (a *noiseAttack) PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64, rngs []*rand.Rand) *tensor.T {
+	out := xs.Clone()
 	if eps == 0 {
-		return x.Clone()
+		return out
 	}
-	var last *tensor.T
-	for r := 0; r < a.repeats; r++ {
-		d := a.sample(x.Shape, rng)
-		// A zero direction cannot be scaled to the budget and would
-		// silently return the input unperturbed; resample so eps>0
-		// always spends the budget.
-		for d.LinfNorm() == 0 {
-			d = a.sample(x.Shape, rng)
-		}
-		adv := x.Clone()
-		if a.norm == Linf {
-			// Scale the direction to have linf norm exactly eps.
-			adv.AddScaled(float32(eps/d.LinfNorm()), d)
-		} else {
-			stepL2(adv, d, eps)
-		}
-		adv.Clamp(0, 1)
-		if fooled(m, adv, label) {
-			return adv
-		}
-		last = adv
+	shape := xs.Shape[1:]
+	open := make([]int, xs.Rows())
+	for r := range open {
+		open[r] = r
 	}
-	return last
+	for k := 0; k < a.repeats && len(open) > 0; k++ {
+		cand := tensor.GatherRows(xs, open)
+		for i, r := range open {
+			d := a.sample(shape, rngs[r])
+			// A zero direction cannot be scaled to the budget and would
+			// silently return the input unperturbed; resample so eps>0
+			// always spends the budget.
+			for d.LinfNorm() == 0 {
+				d = a.sample(shape, rngs[r])
+			}
+			adv := cand.Row(i)
+			if a.norm == Linf {
+				// Scale the direction to have linf norm exactly eps.
+				adv.AddScaled(float32(eps/d.LinfNorm()), d)
+			} else {
+				stepL2(adv, d, eps)
+			}
+			adv.Clamp(0, 1)
+		}
+		tensor.ScatterRows(out, cand, open)
+		if k == a.repeats-1 {
+			break
+		}
+		still := open[:0]
+		for i, p := range tensor.ArgMaxRows(m.LogitsBatch(cand)) {
+			if p == labels[open[i]] {
+				still = append(still, open[i])
+			}
+		}
+		open = still
+	}
+	return out
 }

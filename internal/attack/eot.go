@@ -2,7 +2,6 @@ package attack
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
@@ -80,14 +79,7 @@ func (a *EOT) ConfigKey() string {
 		a.Name(), a.Steps, a.RelStep, a.Samples, a.target.SamplerKey())
 }
 
-// Perturb implements Attack as the singleton batch, so the scalar
-// protocol consumes rng exactly as PerturbBatch consumes rngs[0].
-func (a *EOT) Perturb(m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T {
-	adv := a.PerturbBatch(m, tensor.Stack([]*tensor.T{x}), []int{label}, eps, []*rand.Rand{rng})
-	return adv.Row(0).Clone()
-}
-
-// PerturbBatch implements BatchAttack. Row r consumes rngs[r] only —
+// PerturbBatch implements Attack. Row r consumes rngs[r] only —
 // random start first, then Samples configuration draws per step — so
 // the crafted batch is independent of chunking, bit for bit.
 func (a *EOT) PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64, rngs []*rand.Rand) *tensor.T {
@@ -134,13 +126,13 @@ func (a *EOT) meanLogitGrad(adv *tensor.T, labels []int, rngs []*rand.Rand) *ten
 		// group per round, so the accumulation order into any dl row is
 		// fixed (round k strictly after round k-1).
 		for cfg, rows := range groups {
-			logits := groupLogits(cfg, adv, rows)
+			logits := cfg.LogitsBatch(tensor.GatherRows(adv, rows))
 			classes := logits.RowLen()
 			if dl == nil {
 				dl = tensor.New(n, classes)
 			}
 			for i, r := range rows {
-				g := softmaxGrad(logits.Row(i).Data, labels[r])
+				_, g := tensor.SoftmaxCE(logits.Row(i).Data, labels[r])
 				row := dl.Data[r*classes : (r+1)*classes]
 				for j, v := range g {
 					row[j] += v
@@ -150,48 +142,6 @@ func (a *EOT) meanLogitGrad(adv *tensor.T, labels []int, rngs []*rand.Rand) *ten
 	}
 	dl.Scale(1 / float32(a.Samples))
 	return dl
-}
-
-// groupLogits scores the listed rows of adv on one configuration,
-// batched when the configuration supports it.
-func groupLogits(cfg Model, adv *tensor.T, rows []int) *tensor.T {
-	if bm, ok := cfg.(BatchModel); ok {
-		return bm.LogitsBatch(tensor.GatherRows(adv, rows))
-	}
-	var out *tensor.T
-	for i, r := range rows {
-		l := cfg.Logits(adv.Row(r))
-		if out == nil {
-			out = tensor.New(len(rows), len(l))
-		}
-		copy(out.Row(i).Data, l)
-	}
-	return out
-}
-
-// softmaxGrad is the gradient of softmax cross-entropy w.r.t. the
-// logits: softmax(logits) minus the one-hot label. It mirrors
-// nn.SoftmaxCE's gradient without coupling the attack package to nn.
-func softmaxGrad(logits []float32, label int) []float32 {
-	maxv := logits[0]
-	for _, v := range logits[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	g := make([]float32, len(logits))
-	for i, v := range logits {
-		e := math.Exp(float64(v - maxv))
-		g[i] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for i := range g {
-		g[i] *= inv
-	}
-	g[label] -= 1
-	return g
 }
 
 // mustLogitGrad asserts the model supports surrogate backpropagation.

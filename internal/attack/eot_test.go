@@ -16,9 +16,11 @@ type biasModel struct {
 	boost float32
 }
 
-func (b *biasModel) Logits(x *tensor.T) []float32 {
-	l := append([]float32(nil), b.base.Logits(x)...)
-	l[b.class] += b.boost
+func (b *biasModel) LogitsBatch(xs *tensor.T) *tensor.T {
+	l := b.base.LogitsBatch(xs).Clone()
+	for r := 0; r < l.Rows(); r++ {
+		l.Row(r).Data[b.class] += b.boost
+	}
 	return l
 }
 
@@ -28,7 +30,7 @@ type fakeSampler struct {
 	key  string
 }
 
-func (s *fakeSampler) Logits(x *tensor.T) []float32 { return s.pool[0].Logits(x) }
+func (s *fakeSampler) LogitsBatch(xs *tensor.T) *tensor.T { return s.pool[0].LogitsBatch(xs) }
 func (s *fakeSampler) SampleModel(rng *rand.Rand) Model {
 	return s.pool[rng.Intn(len(s.pool))]
 }
@@ -57,7 +59,7 @@ func TestEOTZeroEpsIdentity(t *testing.T) {
 	m, set := trainedModel(t)
 	a := NewEOT(testSampler(m, "t"), Linf, 3)
 	x, y := correctSample(t, m, set)
-	adv := a.Perturb(m, x, y, 0, rand.New(rand.NewSource(1)))
+	adv := perturb(a, m, x, y, 0, rand.New(rand.NewSource(1)))
 	for i := range x.Data {
 		if adv.Data[i] != x.Data[i] {
 			t.Fatal("EOT at eps=0 must be the identity")
@@ -103,25 +105,15 @@ func TestEOTBudgetAndBox(t *testing.T) {
 }
 
 // TestEOTBatchMatchesScalar pins the chunk-independence contract every
-// attack carries: PerturbBatch row r equals Perturb on sample r under
-// the same rng seed, bit for bit.
+// attack carries: PerturbBatch row r equals the attack on sample r
+// alone, as a one-sample batch under the same rng seed, bit for bit.
 func TestEOTBatchMatchesScalar(t *testing.T) {
 	m, set := trainedModel(t)
 	a := NewEOT(testSampler(m, "t"), Linf, 3)
 	const eps = 0.08
 	n := 5
 	xs := tensor.Stack(set.X[:n])
-	batch := a.PerturbBatch(m, xs, set.Y[:n], eps, eotRngs(n, 17))
-	scalarRngs := eotRngs(n, 17)
-	for r := 0; r < n; r++ {
-		adv := a.Perturb(m, set.X[r], set.Y[r], eps, scalarRngs[r])
-		br := batch.Row(r)
-		for i := range adv.Data {
-			if adv.Data[i] != br.Data[i] {
-				t.Fatalf("row %d diverges from scalar crafting at %d: %v != %v", r, i, br.Data[i], adv.Data[i])
-			}
-		}
-	}
+	assertMatchesSingletons(t, a, m, xs, set.Y[:n], eps, func() []*rand.Rand { return eotRngs(n, 17) })
 }
 
 // TestEOTConfigKeyIsolatesTargets: two EOT instances over different
@@ -161,12 +153,13 @@ func TestEOTFoolsSourceModel(t *testing.T) {
 	adv := a.PerturbBatch(m, xs, set.Y[:n], eps, eotRngs(n, 23))
 	fooledCount := 0
 	correct := 0
+	clean, crafted := tensor.ArgMaxRows(m.LogitsBatch(xs)), tensor.ArgMaxRows(m.LogitsBatch(adv))
 	for r := 0; r < n; r++ {
-		if tensor.ArgMax(m.Logits(xs.Row(r))) != set.Y[r] {
+		if clean[r] != set.Y[r] {
 			continue // only initially-correct samples count
 		}
 		correct++
-		if tensor.ArgMax(m.Logits(adv.Row(r))) != set.Y[r] {
+		if crafted[r] != set.Y[r] {
 			fooledCount++
 		}
 	}

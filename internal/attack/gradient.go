@@ -21,28 +21,10 @@ func (a *FGM) Name() string { return fmt.Sprintf("FGM-%s", a.norm) }
 // Norm implements Attack.
 func (a *FGM) Norm() Norm { return a.norm }
 
-// Perturb implements Attack.
-func (a *FGM) Perturb(m Model, x *tensor.T, label int, eps float64, _ *rand.Rand) *tensor.T {
-	g := mustGrad(m, a.Name())
-	if eps == 0 {
-		return x.Clone()
-	}
-	_, grad := g.LossGrad(x, label)
-	adv := x.Clone()
-	if a.norm == Linf {
-		grad.Sign()
-		adv.AddScaled(float32(eps), grad)
-	} else {
-		stepL2(adv, grad, eps)
-	}
-	adv.Clamp(0, 1)
-	return adv
-}
-
-// PerturbBatch implements BatchAttack: one batched gradient call
-// crafts the whole batch. FGM draws no randomness, so rngs is unused.
+// PerturbBatch implements Attack: one batched gradient call crafts the
+// whole batch. FGM draws no randomness, so rngs is unused.
 func (a *FGM) PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64, _ []*rand.Rand) *tensor.T {
-	g := mustBatchGrad(m, a.Name())
+	g := mustGrad(m, a.Name())
 	if eps == 0 {
 		return xs.Clone()
 	}
@@ -101,36 +83,6 @@ func (a *BIM) Norm() Norm { return a.norm }
 // makes wrapping it in Restart meaningful.
 func (a *BIM) RandomStart() bool { return a.randomStart }
 
-// Perturb implements Attack.
-func (a *BIM) Perturb(m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T {
-	g := mustGrad(m, a.Name())
-	if eps == 0 {
-		return x.Clone()
-	}
-	adv := x.Clone()
-	if a.randomStart {
-		a.randomInit(adv, x, eps, rng)
-	}
-	alpha := a.RelStep * eps
-	for s := 0; s < a.Steps; s++ {
-		_, grad := g.LossGrad(adv, label)
-		if a.norm == Linf {
-			grad.Sign()
-			adv.AddScaled(float32(alpha), grad)
-		} else {
-			stepL2(adv, grad, alpha)
-		}
-		project(a.norm, adv, x, eps)
-		adv.Clamp(0, 1)
-	}
-	return adv
-}
-
-// randomInit applies the PGD random start to one sample in place.
-func (a *BIM) randomInit(adv, x *tensor.T, eps float64, rng *rand.Rand) {
-	randomInitBall(a.norm, adv, x, eps, rng)
-}
-
 // randomInitBall applies a random start inside the eps-ball to one
 // sample in place: uniform in the eps-box for linf, a gaussian
 // direction with uniform radius for l2, then projection and box
@@ -149,19 +101,18 @@ func randomInitBall(norm Norm, adv, x *tensor.T, eps float64, rng *rand.Rand) {
 	adv.Clamp(0, 1)
 }
 
-// PerturbBatch implements BatchAttack: every gradient step is one
-// batched LossGradBatch call over the whole batch. Row r consumes
-// rngs[r] in exactly the scalar draw order, so the crafted batch is
-// bit-for-bit the scalar crafted samples.
+// PerturbBatch implements Attack: every gradient step is one batched
+// LossGradBatch call over the whole batch. Row r draws its random
+// start (PGD) from rngs[r] alone.
 func (a *BIM) PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64, rngs []*rand.Rand) *tensor.T {
-	g := mustBatchGrad(m, a.Name())
+	g := mustGrad(m, a.Name())
 	if eps == 0 {
 		return xs.Clone()
 	}
 	adv := xs.Clone()
 	if a.randomStart {
 		for r := 0; r < adv.Rows(); r++ {
-			a.randomInit(adv.Row(r), xs.Row(r), eps, rngs[r])
+			randomInitBall(a.norm, adv.Row(r), xs.Row(r), eps, rngs[r])
 		}
 	}
 	alpha := a.RelStep * eps

@@ -40,30 +40,11 @@ func (a *MIFGSM) ConfigKey() string {
 	return fmt.Sprintf("%s[steps=%d,mu=%g,rel=%g]", a.Name(), a.Steps, a.Mu, a.RelStep)
 }
 
-// Perturb implements Attack.
-func (a *MIFGSM) Perturb(m Model, x *tensor.T, label int, eps float64, _ *rand.Rand) *tensor.T {
-	g := mustGrad(m, a.Name())
-	if eps == 0 {
-		return x.Clone()
-	}
-	adv := x.Clone()
-	mom := tensor.New(x.Shape...)
-	alpha := a.RelStep * eps
-	for s := 0; s < a.Steps; s++ {
-		_, grad := g.LossGrad(adv, label)
-		a.accumulate(mom, grad)
-		a.step(adv, mom, alpha)
-		project(a.norm, adv, x, eps)
-		adv.Clamp(0, 1)
-	}
-	return adv
-}
-
-// PerturbBatch implements BatchAttack: every gradient step is one
-// batched LossGradBatch call; the momentum accumulator is per-row, so
-// the crafted batch is bit-for-bit the scalar crafted samples.
+// PerturbBatch implements Attack: every gradient step is one batched
+// LossGradBatch call; the momentum accumulator is per row, so rows
+// stay independent.
 func (a *MIFGSM) PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64, _ []*rand.Rand) *tensor.T {
-	g := mustBatchGrad(m, a.Name())
+	g := mustGrad(m, a.Name())
 	if eps == 0 {
 		return xs.Clone()
 	}

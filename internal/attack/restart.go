@@ -15,7 +15,7 @@ import (
 // as "PGD-linf" — but extends its ConfigKey, so crafted-example
 // caches never conflate restarted and plain runs.
 type Restart struct {
-	inner BatchAttack
+	inner Attack
 	// Restarts is the number of independent crafting runs.
 	Restarts int
 }
@@ -27,7 +27,7 @@ func NewRestart(a Attack, n int) *Restart {
 	if n < 1 {
 		n = 1
 	}
-	return &Restart{inner: AsBatch(a), Restarts: n}
+	return &Restart{inner: a, Restarts: n}
 }
 
 // Name implements Attack, delegating to the wrapped attack.
@@ -42,25 +42,11 @@ func (a *Restart) ConfigKey() string {
 	return fmt.Sprintf("%s[restarts=%d]", ConfigKey(a.inner), a.Restarts)
 }
 
-// Perturb implements Attack: sequential restarts consume the one rng
-// stream in order, so restart k crafts identically whether or not
-// restarts 1..k-1 succeeded elsewhere.
-func (a *Restart) Perturb(m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T {
-	var adv *tensor.T
-	for r := 0; r < a.Restarts; r++ {
-		adv = a.inner.Perturb(m, x, label, eps, rng)
-		if eps == 0 || fooled(m, adv, label) {
-			return adv
-		}
-	}
-	return adv
-}
-
-// PerturbBatch implements BatchAttack. Rows craft independently, so
-// each restart re-crafts only the rows no earlier restart has fooled
-// — exactly the rows whose rng streams the scalar protocol would
-// still be consuming — and a fooled row keeps its first fooling
-// sample, matching Perturb row for row, bit for bit.
+// PerturbBatch implements Attack. Rows craft independently, so each
+// restart re-crafts only the rows no earlier restart has fooled, each
+// consuming its own rng stream further, and a fooled row keeps its
+// first fooling sample. Restart k of a row therefore crafts the same
+// bytes whatever batch the row is in.
 func (a *Restart) PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64, rngs []*rand.Rand) *tensor.T {
 	out := a.inner.PerturbBatch(m, xs, labels, eps, rngs)
 	if a.Restarts <= 1 || eps == 0 {
@@ -105,14 +91,8 @@ func (a *Restart) PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64,
 // already misclassifies the crafted sample.
 func (a *Restart) fooledRows(m Model, adv *tensor.T, labels []int) []bool {
 	done := make([]bool, adv.Rows())
-	if bm, ok := m.(BatchModel); ok {
-		for i, p := range tensor.ArgMaxRows(bm.LogitsBatch(adv)) {
-			done[i] = p != labels[i]
-		}
-		return done
-	}
-	for i := range done {
-		done[i] = fooled(m, adv.Row(i), labels[i])
+	for i, p := range tensor.ArgMaxRows(m.LogitsBatch(adv)) {
+		done[i] = p != labels[i]
 	}
 	return done
 }

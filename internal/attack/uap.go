@@ -9,8 +9,8 @@ import (
 )
 
 // SetAttack is a set-level attack: it crafts a single image-agnostic
-// perturbation over the whole sample set at once, so it cannot be
-// chunked per row the way BatchAttack implementations can. The
+// perturbation over the whole sample set at once, so its PerturbSet
+// cannot be chunked per row the way PerturbBatch can. The
 // harness in internal/core crafts one perturbation per (attack, eps,
 // seed) cell — a single PerturbSet call over the full set — caches
 // it, and replays the perturbed batch on every victim.
@@ -74,7 +74,7 @@ const uapChunk = 32
 // the next chunk boundary, returning a partial delta the caller must
 // discard.
 func (a *UAP) Craft(ctx context.Context, m Model, xs *tensor.T, labels []int, eps float64, rng *rand.Rand) *tensor.T {
-	g := mustBatchGrad(m, a.Name())
+	g := mustGrad(m, a.Name())
 	shape := xs.Shape[1:]
 	delta := tensor.New(shape...)
 	if eps == 0 {
@@ -140,13 +140,19 @@ func (a *UAP) PerturbSet(ctx context.Context, m Model, xs *tensor.T, labels []in
 	return out
 }
 
-// Perturb implements Attack: the degenerate set of one sample, so the
-// scalar protocol stays available (and pins PerturbSet's semantics on
-// singleton sets).
-func (a *UAP) Perturb(m Model, x *tensor.T, label int, eps float64, rng *rand.Rand) *tensor.T {
+// PerturbBatch implements Attack for callers that chunk a set into
+// rows: each row is its own one-sample set, crafted on rngs[r]. The
+// harnesses in internal/core and internal/defense dispatch SetAttack
+// first, so a sweep crafts one perturbation over the whole set.
+func (a *UAP) PerturbBatch(m Model, xs *tensor.T, labels []int, eps float64, rngs []*rand.Rand) *tensor.T {
+	out := xs.Clone()
 	if eps == 0 {
-		return x.Clone()
+		return out
 	}
-	adv := a.PerturbSet(context.Background(), m, tensor.Stack([]*tensor.T{x}), []int{label}, eps, rng)
-	return adv.Row(0).Clone()
+	for r := 0; r < xs.Rows(); r++ {
+		row := xs.RowView(r, r+1)
+		adv := a.PerturbSet(context.Background(), m, row, labels[r:r+1], eps, rngs[r])
+		copy(out.Row(r).Data, adv.Data)
+	}
+	return out
 }

@@ -9,18 +9,29 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestUAPSingletonParity pins the scalar protocol: Perturb is
-// PerturbSet over the one-sample set, bit for bit.
+// TestUAPSingletonParity pins PerturbBatch: each row is PerturbSet
+// over that one-sample set on the row's own rng stream, bit for bit.
 func TestUAPSingletonParity(t *testing.T) {
 	m, set := trainedModel(t)
-	x, y := correctSample(t, m, set)
+	xs := tensor.Stack(set.X[:3])
+	labels := set.Y[:3]
+	mkRngs := func() []*rand.Rand {
+		out := make([]*rand.Rand, 3)
+		for i := range out {
+			out[i] = rand.New(rand.NewSource(int64(11 + i)))
+		}
+		return out
+	}
 	for _, n := range []Norm{L2, Linf} {
 		a := NewUAP(n)
-		scalar := a.Perturb(m, x, y, 0.3, rand.New(rand.NewSource(11)))
-		batch := a.PerturbSet(context.Background(), m, tensor.Stack([]*tensor.T{x}), []int{y}, 0.3, rand.New(rand.NewSource(11)))
-		for i := range scalar.Data {
-			if scalar.Data[i] != batch.Row(0).Data[i] {
-				t.Fatalf("%s scalar/set crafting diverged at pixel %d", a.Name(), i)
+		batch := a.PerturbBatch(m, xs, labels, 0.3, mkRngs())
+		rngs := mkRngs()
+		for r := 0; r < xs.Rows(); r++ {
+			set := a.PerturbSet(context.Background(), m, xs.RowView(r, r+1), labels[r:r+1], 0.3, rngs[r])
+			for i := range set.Data {
+				if set.Data[i] != batch.Row(r).Data[i] {
+					t.Fatalf("%s row %d: batch and one-sample set crafting diverged at pixel %d", a.Name(), r, i)
+				}
 			}
 		}
 	}
@@ -104,12 +115,11 @@ func TestUAPChunkIndependence(t *testing.T) {
 }
 
 // TestRestartMatchesScalar is the wrapper's parity contract: batched
-// restarted PGD row r equals the scalar restarted PGD on sample r.
+// restarted PGD row r equals restarted PGD on sample r alone.
 func TestRestartMatchesScalar(t *testing.T) {
 	m, set := trainedModel(t)
 	xs := tensor.Stack(set.X[:6])
 	labels := set.Y[:6]
-	a := NewRestart(NewPGD(Linf), 3)
 	mkRngs := func() []*rand.Rand {
 		out := make([]*rand.Rand, 6)
 		for i := range out {
@@ -117,17 +127,7 @@ func TestRestartMatchesScalar(t *testing.T) {
 		}
 		return out
 	}
-	adv := a.PerturbBatch(m, xs, labels, 0.15, mkRngs())
-	scalarRngs := mkRngs()
-	for r := 0; r < xs.Rows(); r++ {
-		want := a.Perturb(m, xs.Row(r), labels[r], 0.15, scalarRngs[r])
-		got := adv.Row(r)
-		for j := range want.Data {
-			if got.Data[j] != want.Data[j] {
-				t.Fatalf("restarted PGD sample %d diverged from scalar at pixel %d", r, j)
-			}
-		}
-	}
+	assertMatchesSingletons(t, NewRestart(NewPGD(Linf), 3), m, xs, labels, 0.15, mkRngs)
 }
 
 // TestRestartKeepsIdentity: the wrapper presents the inner attack's
@@ -159,13 +159,13 @@ func TestRestartAtLeastAsStrong(t *testing.T) {
 	var plainFooled, restartFooled int
 	for i := 0; i < 40; i++ {
 		x, y := set.X[i], set.Y[i]
-		if tensor.ArgMax(m.Logits(x)) != y {
+		if predict(m, x) != y {
 			continue
 		}
-		if fooled(m, plain.Perturb(m, x, y, 0.1, rand.New(rand.NewSource(int64(i)))), y) {
+		if predict(m, perturb(plain, m, x, y, 0.1, rand.New(rand.NewSource(int64(i))))) != y {
 			plainFooled++
 		}
-		if fooled(m, restarted.Perturb(m, x, y, 0.1, rand.New(rand.NewSource(int64(i)))), y) {
+		if predict(m, perturb(restarted, m, x, y, 0.1, rand.New(rand.NewSource(int64(i))))) != y {
 			restartFooled++
 		}
 	}
@@ -201,12 +201,11 @@ func TestConfigKeyDistinguishesNewKnobs(t *testing.T) {
 	if ConfigKey(r2) == ConfigKey(NewPGD(Linf)) {
 		t.Fatal("restarted PGD must not share plain PGD's cache identity")
 	}
-	// The AsBatch adapter (used by NewRestart for scalar-only inner
-	// attacks) must forward the inner ConfigKey, not degrade to Name.
+	// The wrapper must forward the inner ConfigKey, not degrade to Name.
 	tuned := NewUAP(Linf)
 	tuned.Iters = 3
 	if ConfigKey(NewRestart(tuned, 2)) == ConfigKey(NewRestart(NewUAP(Linf), 2)) {
-		t.Fatal("restart wrapper lost the inner attack's tuning knobs through AsBatch")
+		t.Fatal("restart wrapper lost the inner attack's tuning knobs")
 	}
 	seen := map[string]bool{}
 	for _, a := range All() {
@@ -222,7 +221,7 @@ func TestConfigKeyDistinguishesNewKnobs(t *testing.T) {
 // never fooled — the budget-exhausted path of the noise attacks.
 type alwaysRight struct{}
 
-func (alwaysRight) Logits(*tensor.T) []float32 { return []float32{1, 0} }
+func (alwaysRight) LogitsBatch(xs *tensor.T) *tensor.T { return constModel{}.LogitsBatch(xs) }
 
 // TestNoiseBudgetExhausted: when no repeat fools the model, RAG/RAU
 // must return the *last* sampled perturbation, deterministically
@@ -232,8 +231,8 @@ func TestNoiseBudgetExhausted(t *testing.T) {
 	const eps = 0.2
 	for _, atk := range []Attack{NewRAG(), NewRAU(L2), NewRAU(Linf)} {
 		a := atk.(*noiseAttack)
-		adv := atk.Perturb(alwaysRight{}, x, 0, eps, rand.New(rand.NewSource(77)))
-		again := atk.Perturb(alwaysRight{}, x, 0, eps, rand.New(rand.NewSource(77)))
+		adv := perturb(atk, alwaysRight{}, x, 0, eps, rand.New(rand.NewSource(77)))
+		again := perturb(atk, alwaysRight{}, x, 0, eps, rand.New(rand.NewSource(77)))
 		for i := range adv.Data {
 			if adv.Data[i] != again.Data[i] {
 				t.Fatalf("%s budget-exhausted path not deterministic", atk.Name())
@@ -281,7 +280,7 @@ func TestNoiseResamplesZeroDirections(t *testing.T) {
 				return d
 			}}
 		x := tensor.FromSlice([]float32{0.5, 0.5}, 2)
-		adv := a.Perturb(alwaysRight{}, x, 0, 0.25, rand.New(rand.NewSource(1)))
+		adv := perturb(a, alwaysRight{}, x, 0, 0.25, rand.New(rand.NewSource(1)))
 		if draws != 2 {
 			t.Fatalf("%s: zero direction drawn %d times, want a resample (2 draws)", norm, draws)
 		}

@@ -29,7 +29,7 @@
 // the BenchmarkTiledVsSeed regression gate.
 //
 // Networks produced by Compile are immutable after SetMultiplier and
-// safe for concurrent Logits calls.
+// safe for concurrent LogitsBatch calls.
 package axnn
 
 import (
@@ -118,7 +118,7 @@ func Compile(n *nn.Network, calib []*tensor.T, opts Options) (*Network, error) {
 		lo, hi := quant.Range(x.Data)
 		inMin += lo
 		inMax += hi
-		for i, o := range n.ForwardTrace(x) {
+		for i, o := range n.ForwardTrace(x.Unsqueeze()) {
 			l2, h2 := quant.Range(o.Data)
 			mins[i] += l2
 			maxs[i] += h2
@@ -281,17 +281,11 @@ func (q *Network) WithReferenceKernel() *Network {
 // MultiplierName returns the active multiplier's name.
 func (q *Network) MultiplierName() string { return q.mulID }
 
-// Logits quantizes x and runs the integer pipeline, returning float
-// logits. Safe for concurrent use.
-func (q *Network) Logits(x *tensor.T) []float32 {
-	return q.run(x.Data, x.Shape, 1)
-}
-
-// LogitsBatch runs the integer pipeline on a batch [N, sampleShape...]
-// and returns the [N, classes] logits. The whole batch shares one
-// quantization pass and pooled im2col/accumulator workspaces per conv
-// stage, so the LUT work is amortised; row r is bit-for-bit identical
-// to Logits on sample r. Safe for concurrent use; callers that want
+// LogitsBatch quantizes a batch [N, sampleShape...], runs the integer
+// pipeline and returns the [N, classes] float logits. The whole batch
+// shares one quantization pass and pooled im2col/accumulator
+// workspaces per conv stage, so the LUT work is amortised; row r is the
+// same bytes whatever else shares its batch. Safe for concurrent use; callers that want
 // parallelism split their batch across goroutines (core does, per
 // chunk), each pass checking out its own pooled workspace.
 func (q *Network) LogitsBatch(xs *tensor.T) *tensor.T {
@@ -323,11 +317,6 @@ func (q *Network) run(data []float32, sampleShape []int, n int) []float32 {
 	}
 	// Networks not ending in a Dense layer: dequantize the final codes.
 	return in.qp.DequantizeSlice(in.data)
-}
-
-// Predict returns the argmax class for x.
-func (q *Network) Predict(x *tensor.T) int {
-	return tensor.ArgMax(q.Logits(x))
 }
 
 // outBuf returns the output activation buffer for a layer: the other

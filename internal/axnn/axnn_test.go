@@ -54,8 +54,8 @@ func TestExactQuantizationTracksFloat(t *testing.T) {
 	}
 	agree := 0
 	for _, x := range calibSet(64, 3) {
-		fl := net.Logits(x)
-		ql := q.Logits(x)
+		fl := net.LogitsBatch(x.Unsqueeze()).Data
+		ql := logits1(q, x)
 		if len(fl) != len(ql) {
 			t.Fatal("logit length mismatch")
 		}
@@ -100,8 +100,8 @@ func TestApproximateMultiplierChangesOutputs(t *testing.T) {
 	}
 	qa := q.WithMultiplier(axmult.MustLookup("mul8u_FTA"))
 	x := calibSet(1, 8)[0]
-	le := q.Logits(x)
-	la := qa.Logits(x)
+	le := logits1(q, x)
+	la := logits1(qa, x)
 	diff := 0.0
 	for i := range le {
 		diff += math.Abs(float64(le[i] - la[i]))
@@ -119,16 +119,16 @@ func TestConcurrentLogits(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := calibSet(1, 11)[0]
-	want := append([]float32(nil), q.Logits(x)...)
+	want := logits1(q, x)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := q.Logits(x)
+			got := logits1(q, x)
 			for j := range want {
 				if got[j] != want[j] {
-					t.Error("concurrent Logits diverged")
+					t.Error("concurrent one-sample LogitsBatch diverged")
 					return
 				}
 			}
@@ -151,7 +151,7 @@ func TestReducedBitsStillClassifies(t *testing.T) {
 	// 4-bit quantization must run and produce finite logits; agreement
 	// with 8-bit will be partial by design.
 	x := calibSet(1, 14)[0]
-	for _, v := range q4.Logits(x) {
+	for _, v := range logits1(q4, x) {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatal("4-bit engine produced non-finite logits")
 		}
@@ -189,7 +189,7 @@ func TestApproxDenseOption(t *testing.T) {
 	}
 	qa = qa.WithMultiplier(axmult.MustLookup("mul8u_FTA"))
 	x := calib[0]
-	de, da := qe.Logits(x), qa.Logits(x)
+	de, da := logits1(qe, x), logits1(qa, x)
 	diff := 0.0
 	for i := range de {
 		diff += math.Abs(float64(de[i] - da[i]))
@@ -200,7 +200,7 @@ func TestApproxDenseOption(t *testing.T) {
 	// Without ApproxDense, dense layers must be immune to the
 	// multiplier choice (conv-free network => identical outputs).
 	qe2 := qe.WithMultiplier(axmult.MustLookup("mul8u_FTA"))
-	d2 := qe2.Logits(x)
+	d2 := logits1(qe2, x)
 	for i := range de {
 		if de[i] != d2[i] {
 			t.Fatal("dense layers must not use the approximate multiplier by default")

@@ -8,9 +8,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestLogitsBatchMatchesScalar is the golden batched/scalar parity
-// test for the integer engine: LogitsBatch row r must equal Logits on
-// sample r bit for bit, for both the exact and an approximate
+// TestLogitsBatchMatchesScalar is the golden batch/one-sample parity
+// test for the integer engine: LogitsBatch row r must equal the logits
+// of sample r scored alone, as a one-sample batch, bit for bit, for both the exact and an approximate
 // multiplier (the whole pipeline is per-sample deterministic integer
 // arithmetic, so any divergence is a batching bug).
 func TestLogitsBatchMatchesScalar(t *testing.T) {
@@ -27,14 +27,14 @@ func TestLogitsBatchMatchesScalar(t *testing.T) {
 			t.Fatalf("LogitsBatch shape %v", out.Shape)
 		}
 		for r, x := range xs {
-			want := eng.Logits(x)
+			want := logits1(eng, x)
 			got := out.Row(r).Data
 			if len(got) != len(want) {
 				t.Fatalf("row %d has %d logits, want %d", r, len(got), len(want))
 			}
 			for j := range want {
 				if got[j] != want[j] {
-					t.Fatalf("[%s] sample %d logit %d: batch %v != scalar %v",
+					t.Fatalf("[%s] sample %d logit %d: batch %v != one-sample %v",
 						eng.MultiplierName(), r, j, got[j], want[j])
 				}
 			}
@@ -54,7 +54,7 @@ func TestLogitsBatchApproxDense(t *testing.T) {
 	xs := calibSet(4, 35)
 	out := q.LogitsBatch(tensor.Stack(xs))
 	for r, x := range xs {
-		want := q.Logits(x)
+		want := logits1(q, x)
 		got := out.Row(r).Data
 		for j := range want {
 			if got[j] != want[j] {
@@ -62,6 +62,11 @@ func TestLogitsBatchApproxDense(t *testing.T) {
 			}
 		}
 	}
+}
+
+// logits1 scores one sample as a one-sample batch.
+func logits1(q *Network, x *tensor.T) []float32 {
+	return q.LogitsBatch(x.Unsqueeze()).Data
 }
 
 // TestConcurrentLogitsBatch: batched inference on a shared engine from

@@ -25,7 +25,7 @@ func TestDiagnoseQuantizationDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := m.Test.X[0]
-	floats := m.Net.ForwardTrace(x)
+	floats := m.Net.ForwardTrace(x.Unsqueeze())
 
 	in := qtensor{n: 1, shape: x.Shape, data: q.inQP.QuantizeSlice(x.Data), qp: q.inQP}
 	ws := q.getWS()

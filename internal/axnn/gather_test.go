@@ -103,10 +103,11 @@ func gatherKernel(t *testing.T) {
 // has 9 output pixels per sample (batches 1..17 give n*9 mod 16 = 0..15),
 // five channels (a block plus an overlapping one) and padding 0; conv2
 // has a 1x1 output and six channels, so its lanes are the batch's
-// samples, from one lane up to two blocks of eight.
+// samples, from one lane up to two blocks of eight. Its biases are
+// random and nonzero.
 func tailNet() *nn.Network {
 	rng := rand.New(rand.NewSource(121))
-	return &nn.Network{
+	return withRandomBiases(&nn.Network{
 		Name: "parity-tails",
 		Layers: []nn.Layer{
 			nn.NewConv2D(2, 5, 3, 1, 0, rng),
@@ -115,14 +116,15 @@ func tailNet() *nn.Network {
 			&nn.Flatten{},
 			nn.NewDense(6, 3, rng),
 		},
-	}
+	}, 122)
 }
 
 // narrowNet is tailNet's shape with one and two output channels: the
-// single-channel copy mode and a lone two-channel block.
+// single-channel copy mode and a lone two-channel block, with random
+// nonzero biases.
 func narrowNet() *nn.Network {
 	rng := rand.New(rand.NewSource(125))
-	return &nn.Network{
+	return withRandomBiases(&nn.Network{
 		Name: "parity-narrow",
 		Layers: []nn.Layer{
 			nn.NewConv2D(2, 1, 3, 1, 0, rng),
@@ -131,7 +133,7 @@ func narrowNet() *nn.Network {
 			&nn.Flatten{},
 			nn.NewDense(2, 3, rng),
 		},
-	}
+	}, 126)
 }
 
 // fgmLikeBatch returns n 2x5x5 inputs shaped like FGM output: a mostly
@@ -160,7 +162,7 @@ func fgmLikeBatch(n int, seed int64) []*tensor.T {
 // TestTiledKernelParityLaneTails runs batches of 1..17 FGM-like inputs
 // through tailNet and narrowNet on every registered multiplier, on each
 // kernel path, against the reference kernel, and checks each
-// batch-of-one row against scalar Logits.
+// batch-of-one row against the sample's own one-sample view.
 func TestTiledKernelParityLaneTails(t *testing.T) {
 	onEachKernel(t, func(t *testing.T) {
 		for _, net := range []*nn.Network{tailNet(), narrowNet()} {
@@ -177,7 +179,7 @@ func TestTiledKernelParityLaneTails(t *testing.T) {
 					label := fmt.Sprintf("%s/%s/n%d", net.Name, name, n)
 					assertSameLogits(t, label, want, eng.LogitsBatch(batch))
 					if n == 1 {
-						assertSameLogits(t, label+"/scalar", want, tensor.FromSlice(eng.Logits(xs[0]), 1, 3))
+						assertSameLogits(t, label+"/scalar", want, eng.LogitsBatch(xs[0].Unsqueeze()))
 					}
 				}
 			}
@@ -187,11 +189,15 @@ func TestTiledKernelParityLaneTails(t *testing.T) {
 
 // TestRequantStairs pins the integer requantizer to the float formula
 // it replaces: for every conv and dense channel (all but the logits
-// stage's) of the parity, tail and reduced width networks, the code at every edge t and at t-1, and at random
-// reachable t, equals Quantize(float32(t)*scale+bias), mapped through
-// the folded ReLU's table where one is folded. The tables depend only
-// on the quantization parameters, so one network covers every
-// multiplier; the parity tests run them on all of them.
+// stage's) of the parity, tail and reduced width networks, the code at
+// every edge t and at t-1, and at random reachable t, equals
+// Quantize(float32(t)*scale+bias), mapped through the folded ReLU's
+// table where one is folded. At the edges, where one rounding step
+// changes the code, the epilogue's float branches (no requantizer, and
+// the zero-point ablation) must give Quantize(float32(t)*scale+bias)
+// too. The tables depend only on the quantization parameters, so one
+// network covers every multiplier; the parity tests run them on all of
+// them.
 func TestRequantStairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(124))
 	type build struct {
@@ -232,8 +238,9 @@ func TestRequantStairs(t *testing.T) {
 				s := &c.stairs[oc]
 				scale := c.inQP.Scale * c.wQP[oc].Scale
 				bias := c.bias[oc]
+				raw := func(x int32) uint8 { return c.outQP.Quantize(float32(x)*scale + bias) }
 				direct := func(x int32) uint8 {
-					v := c.outQP.Quantize(float32(x)*scale + bias)
+					v := raw(x)
 					if post != nil {
 						v = post[v]
 					}
@@ -244,10 +251,19 @@ func TestRequantStairs(t *testing.T) {
 						t.Fatalf("%s bits %d layer %d channel %d: t=%d gives %d, want %d", b.net.Name, b.bits, li, oc, x, got, want)
 					}
 				}
+				var edges []int32
 				for _, e := range s.edge {
 					if e != noEdge {
 						check(e)
 						check(e - 1)
+						edges = append(edges, e, e-1)
+					}
+				}
+				for _, noZP := range []bool{false, true} {
+					for i, got := range epilogueCodes(c, oc, edges, noZP) {
+						if want := raw(edges[i]); got != want {
+							t.Fatalf("%s bits %d layer %d channel %d: epilogue (noZP %t) at t=%d gives %d, want %d", b.net.Name, b.bits, li, oc, noZP, edges[i], got, want)
+						}
 					}
 				}
 				zw := int32(c.wQP[oc].Zero)
@@ -264,6 +280,27 @@ func TestRequantStairs(t *testing.T) {
 	if folded == 0 {
 		t.Fatal("no ReLU was folded into a conv")
 	}
+}
+
+// epilogueCodes runs channel oc of c's epilogue with no integer
+// requantizer on corrected accumulators ts (with Σa = 0, so the raw
+// accumulator is t - fixed), or with noZP on raw accumulators ts, and
+// returns the codes it writes.
+func epilogueCodes(c *qConv, oc int, ts []int32, noZP bool) []uint8 {
+	conv := *c
+	conv.stairs, conv.noZP = nil, noZP
+	_, fixed, _, _ := c.affine(oc)
+	p := len(ts)
+	acc := make([]int32, p)
+	for i, t := range ts {
+		acc[i] = t
+		if !noZP {
+			acc[i] = t - fixed
+		}
+	}
+	out := make([]uint8, (oc+1)*p)
+	conv.epilogue(acc, p, make([]int32, p), out, oc, 1, p)
+	return out[oc*p:]
 }
 
 // TestRequantFallsBack checks the cases that keep Quantize: the

@@ -12,13 +12,30 @@ import (
 	"repro/internal/tensor"
 )
 
+// withRandomBiases sets every bias of net to a random value in
+// [-0.5, 0.5) drawn from seed and returns net. The layer builders leave
+// biases at zero, and a parity fixture with zero biases would compare
+// every epilogue at a bias of +0 only.
+func withRandomBiases(net *nn.Network, seed int64) *nn.Network {
+	rng := rand.New(rand.NewSource(seed))
+	for _, p := range net.Params() {
+		if p.Name == "B" {
+			for i := range p.W {
+				p.W[i] = rng.Float32() - 0.5
+			}
+		}
+	}
+	return net
+}
+
 // parityNets returns conv+dense stacks covering the shape corners of
 // the gather GEMM's driver: padded and strided convolutions, channel
 // counts that take a block of four, a block of two after it, and a
 // last block overlapping the one before, pooling, and the dense stages.
+// Their biases are random and nonzero.
 func parityNets() []*nn.Network {
 	rng := rand.New(rand.NewSource(97))
-	return []*nn.Network{
+	nets := []*nn.Network{
 		{
 			Name: "parity-pad",
 			Layers: []nn.Layer{
@@ -45,6 +62,10 @@ func parityNets() []*nn.Network {
 			},
 		},
 	}
+	for i, net := range nets {
+		withRandomBiases(net, int64(98+i))
+	}
+	return nets
 }
 
 func parityBatch(chans, n int, seed int64) []*tensor.T {
@@ -123,15 +144,7 @@ func parityAllMultipliers(t *testing.T) {
 	// against the reference kernel's int32 MACs; with it on, on the
 	// active multiplier. Nine samples fill one lane block plus a tail.
 	// The biases are nonzero, so the logits epilogue adds them.
-	ffnn := models.FFNN(28*28, 10, 131)
-	rng := rand.New(rand.NewSource(134))
-	for _, p := range ffnn.Params() {
-		if p.Name == "B" {
-			for i := range p.W {
-				p.W[i] = rng.Float32() - 0.5
-			}
-		}
-	}
+	ffnn := withRandomBiases(models.FFNN(28*28, 10, 131), 134)
 	calib, batch := digitBatch(12, 132), tensor.Stack(digitBatch(9, 133))
 	for _, approx := range []bool{false, true} {
 		q, err := Compile(ffnn, calib, Options{ApproxDense: approx})

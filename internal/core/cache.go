@@ -395,7 +395,6 @@ func (c *Cache) craftMiss(ctx context.Context, t *CraftTarget, key craftKey, eps
 		out = sa.PerturbSet(ctx, t.src, tensor.Stack(test.X), test.Y, eps, rng)
 	} else {
 		n := test.Len()
-		batk := attack.AsBatch(t.atk)
 		out = tensor.New(append([]int{n}, test.X[0].Shape...)...)
 		runChunked(ctx, n, opts, func(lo, hi int) {
 			xs := tensor.Stack(test.X[lo:hi])
@@ -406,7 +405,7 @@ func (c *Cache) craftMiss(ctx context.Context, t *CraftTarget, key craftKey, eps
 				// and freshly crafted batches agree bit for bit.
 				rngs[i] = rand.New(rand.NewSource(key.seed + int64(lo+i)*1_000_003 + key.epsQ*7_919))
 			}
-			crafted := batk.PerturbBatch(t.src, xs, test.Y[lo:hi], eps, rngs)
+			crafted := t.atk.PerturbBatch(t.src, xs, test.Y[lo:hi], eps, rngs)
 			copy(out.RowView(lo, hi).Data, crafted.Data)
 		})
 	}
@@ -437,10 +436,10 @@ func (c *Cache) CraftedCached(t *CraftTarget, eps float64, opts Options) bool {
 	return epsQ != 0 && c.disk != nil && c.disk.Has(craftDiskKey(t, epsQ, opts.Seed))
 }
 
-// Predictions scores one victim over the crafted batch, using the
-// batched path when the model supports it and memoising per (victim,
-// batch). hit, coalescing and cancellation behave as in CraftedBatch
-// (coalesced calls count in CacheStats.PredCoalesced).
+// Predictions scores one victim over the crafted batch in chunks,
+// memoising per (victim, batch). hit, coalescing and cancellation
+// behave as in CraftedBatch (coalesced calls count in
+// CacheStats.PredCoalesced).
 func (c *Cache) Predictions(ctx context.Context, m attack.Model, adv *tensor.T, opts Options) (preds []int, hit bool, err error) {
 	id, _, err := c.batchIDs.get(ctx, adv, func() (batchID, bool, error) { return newBatchID(adv), false, nil })
 	if err != nil {
@@ -481,15 +480,8 @@ func (c *Cache) predictMiss(ctx context.Context, m attack.Model, adv *tensor.T, 
 	}
 	n := adv.Rows()
 	preds := make([]int, n)
-	bm, batched := m.(attack.BatchModel)
 	runChunked(ctx, n, opts, func(lo, hi int) {
-		if batched {
-			copy(preds[lo:hi], tensor.ArgMaxRows(bm.LogitsBatch(adv.RowView(lo, hi))))
-		} else {
-			for i := lo; i < hi; i++ {
-				preds[i] = tensor.ArgMax(m.Logits(adv.Row(i)))
-			}
-		}
+		copy(preds[lo:hi], tensor.ArgMaxRows(m.LogitsBatch(adv.RowView(lo, hi))))
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, false, err

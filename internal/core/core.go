@@ -45,11 +45,9 @@ import (
 
 // Victim is a named classifier under evaluation. Factory is invoked
 // once per sweep and must return a model that is safe for concurrent
-// Logits calls — both the float nn networks and compiled axnn
-// networks now are. Models that additionally implement
-// attack.BatchModel are evaluated with LogitsBatch. Factories that
-// return a stable model across calls additionally let the prediction
-// memo span grids.
+// LogitsBatch calls — both the float nn networks and compiled axnn
+// networks are. Factories that return a stable model across calls
+// additionally let the prediction memo span grids.
 type Victim struct {
 	Name    string
 	Factory func() attack.Model

@@ -632,8 +632,6 @@ type batchCounter struct {
 	calls int
 }
 
-func (b *batchCounter) Logits(x *tensor.T) []float32 { return b.m.Logits(x) }
-
 func (b *batchCounter) LogitsBatch(xs *tensor.T) *tensor.T {
 	b.calls++
 	return b.m.LogitsBatch(xs)

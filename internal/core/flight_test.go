@@ -35,13 +35,13 @@ func (g *gate) pass() {
 // countingAttack is FGM-linf with its PerturbBatch calls counted and the
 // first one held at a gate.
 type countingAttack struct {
-	attack.BatchAttack
+	attack.Attack
 	g *gate
 }
 
 func (a countingAttack) PerturbBatch(m attack.Model, xs *tensor.T, labels []int, eps float64, rngs []*rand.Rand) *tensor.T {
 	a.g.pass()
-	return a.BatchAttack.PerturbBatch(m, xs, labels, eps, rngs)
+	return a.Attack.PerturbBatch(m, xs, labels, eps, rngs)
 }
 
 // countingModel is a victim with its LogitsBatch calls counted and the
@@ -50,8 +50,6 @@ type countingModel struct {
 	m *axnn.Network
 	g *gate
 }
-
-func (c *countingModel) Logits(x *tensor.T) []float32 { return c.m.Logits(x) }
 
 func (c *countingModel) LogitsBatch(xs *tensor.T) *tensor.T {
 	c.g.pass()
@@ -77,7 +75,7 @@ const flightEps = 0.1
 func flightTarget(t *testing.T) (*CraftTarget, *gate) {
 	f := getFixture(t)
 	g := newGate()
-	atk := countingAttack{attack.AsBatch(attack.ByName("FGM-linf")), g}
+	atk := countingAttack{attack.ByName("FGM-linf"), g}
 	return NewCraftTarget(f.net, f.test.Slice(16), atk), g
 }
 

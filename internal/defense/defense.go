@@ -197,7 +197,6 @@ func adversarialEpoch(ctx context.Context, net *nn.Network, set *dataset.Set, at
 			return nil, err
 		}
 	} else {
-		batk := attack.AsBatch(atk)
 		adv = tensor.New(append([]int{k}, samples[0].Shape...)...)
 		if err := core.RunChunked(ctx, k, advChunk, cfg.Workers, func(lo, hi int) {
 			xs := tensor.Stack(samples[lo:hi])
@@ -207,7 +206,7 @@ func adversarialEpoch(ctx context.Context, net *nn.Network, set *dataset.Set, at
 				// stream survives re-chunking and differs per epoch.
 				rngs[i] = rand.New(rand.NewSource(cfg.Seed + int64(idx[lo+i])*1_000_003 + int64(epoch)*7_919 + 17))
 			}
-			crafted := batk.PerturbBatch(net, xs, labels[lo:hi], cfg.Eps, rngs)
+			crafted := atk.PerturbBatch(net, xs, labels[lo:hi], cfg.Eps, rngs)
 			copy(adv.RowView(lo, hi).Data, crafted.Data)
 		}); err != nil {
 			return nil, err

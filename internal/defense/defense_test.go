@@ -41,11 +41,14 @@ func robustness(t *testing.T, target attack.Model, m attack.Model, set *dataset.
 	if err != nil {
 		t.Fatal(err)
 	}
+	rngs := make([]*rand.Rand, n)
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(77 + int64(i)*1_000_003))
+	}
+	adv := atk.PerturbBatch(target, tensor.Stack(set.X[:n]), set.Y[:n], eps, rngs)
 	correct := 0
-	for i := 0; i < n; i++ {
-		rng := rand.New(rand.NewSource(77 + int64(i)*1_000_003))
-		adv := atk.Perturb(target, set.X[i], set.Y[i], eps, rng)
-		if tensor.ArgMax(m.Logits(adv)) == set.Y[i] {
+	for i, p := range tensor.ArgMaxRows(m.LogitsBatch(adv)) {
+		if p == set.Y[i] {
 			correct++
 		}
 	}

@@ -87,15 +87,10 @@ func (e *Ensemble) pickIdx(x *tensor.T) int {
 	return int(h % uint64(len(e.pool)))
 }
 
-// Logits implements attack.Model: the drawn member answers the query.
-func (e *Ensemble) Logits(x *tensor.T) []float32 {
-	return e.pool[e.pickIdx(x)].Logits(x)
-}
-
-// LogitsBatch implements attack.BatchModel: each row is answered by
-// its own draw. Rows drawing the same member are scored with one
-// LogitsBatch call; row r is bit-identical to Logits on row r, so the
-// batched harness path and the scalar protocol agree.
+// LogitsBatch implements attack.Model: each row is answered by the
+// member its own pixels draw. Rows drawing the same member are scored
+// with one LogitsBatch call, so row r is the same bytes whatever else
+// shares its batch.
 func (e *Ensemble) LogitsBatch(xs *tensor.T) *tensor.T {
 	n := xs.Rows()
 	groups := make([][]int, len(e.pool))
@@ -108,19 +103,7 @@ func (e *Ensemble) LogitsBatch(xs *tensor.T) *tensor.T {
 		if len(rows) == 0 {
 			continue
 		}
-		m := e.pool[mi]
-		var logits *tensor.T
-		if bm, ok := m.(attack.BatchModel); ok {
-			logits = bm.LogitsBatch(tensor.GatherRows(xs, rows))
-		} else {
-			for i, r := range rows {
-				l := m.Logits(xs.Row(r))
-				if logits == nil {
-					logits = tensor.New(len(rows), len(l))
-				}
-				copy(logits.Row(i).Data, l)
-			}
-		}
+		logits := e.pool[mi].LogitsBatch(tensor.GatherRows(xs, rows))
 		if out == nil {
 			out = tensor.New(n, logits.RowLen())
 		}

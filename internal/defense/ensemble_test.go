@@ -24,8 +24,8 @@ func testEnsemble(t *testing.T, seed int64) *Ensemble {
 }
 
 // TestEnsembleBatchMatchesScalar pins the harness contract: row r of
-// LogitsBatch is bit-identical to Logits on row r, whatever member
-// each row draws.
+// LogitsBatch is bit-identical to row r scored alone, as a one-sample
+// batch, whatever member each row draws.
 func TestEnsembleBatchMatchesScalar(t *testing.T) {
 	e := testEnsemble(t, 7)
 	m := fixture(t)
@@ -33,11 +33,11 @@ func TestEnsembleBatchMatchesScalar(t *testing.T) {
 	xs := tensor.Stack(m.Test.X[:n])
 	batch := e.LogitsBatch(xs)
 	for r := 0; r < n; r++ {
-		want := e.Logits(xs.Row(r))
+		want := e.LogitsBatch(xs.RowView(r, r+1)).Data
 		got := batch.Row(r).Data
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("row %d logit %d: batch %v != scalar %v", r, i, got[i], want[i])
+				t.Fatalf("row %d logit %d: batch %v != one-sample %v", r, i, got[i], want[i])
 			}
 		}
 	}
@@ -50,8 +50,8 @@ func TestEnsembleBatchMatchesScalar(t *testing.T) {
 func TestEnsembleDrawIsDeterministicButSpread(t *testing.T) {
 	e := testEnsemble(t, 7)
 	m := fixture(t)
-	x := m.Test.X[0]
-	a, b := e.Logits(x), e.Logits(x)
+	x := m.Test.X[0].Unsqueeze()
+	a, b := e.LogitsBatch(x).Data, e.LogitsBatch(x).Data
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same query answered by different members across calls")

@@ -110,10 +110,10 @@ func referenceAcc(src *nn.Network, victims []core.Victim, set *dataset.Set, atk 
 			for i := range rngs {
 				rngs[i] = rand.New(rand.NewSource(seed + int64(i)*1_000_003 + epsQ*7_919))
 			}
-			adv = attack.AsBatch(atk).PerturbBatch(src, xs, test.Y, e, rngs)
+			adv = atk.PerturbBatch(src, xs, test.Y, e, rngs)
 		}
 		for _, v := range victims {
-			preds := tensor.ArgMaxRows(v.Factory().(attack.BatchModel).LogitsBatch(adv))
+			preds := tensor.ArgMaxRows(v.Factory().LogitsBatch(adv))
 			acc[ei] = append(acc[ei], core.Robustness(preds, test.Y))
 		}
 	}

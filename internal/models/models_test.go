@@ -10,7 +10,7 @@ func TestLeNet5Shapes(t *testing.T) {
 	cases := []struct{ c, h, w int }{{1, 28, 28}, {3, 32, 32}}
 	for _, cse := range cases {
 		net := LeNet5(cse.c, cse.h, cse.w, 10, 1)
-		out := net.Forward(tensor.New(cse.c, cse.h, cse.w))
+		out := net.LogitsBatch(tensor.New(1, cse.c, cse.h, cse.w))
 		if out.Len() != 10 {
 			t.Fatalf("LeNet5(%v) produced %d logits", cse, out.Len())
 		}
@@ -36,7 +36,7 @@ func TestLeNet5LayerCount(t *testing.T) {
 
 func TestAlexNetShapes(t *testing.T) {
 	net := AlexNet(3, 32, 32, 10, 2)
-	out := net.Forward(tensor.New(3, 32, 32))
+	out := net.LogitsBatch(tensor.New(1, 3, 32, 32))
 	if out.Len() != 10 {
 		t.Fatalf("AlexNet produced %d logits", out.Len())
 	}
@@ -58,7 +58,7 @@ func TestAlexNetStructure(t *testing.T) {
 
 func TestFFNNShapes(t *testing.T) {
 	net := FFNN(28*28, 10, 4)
-	out := net.Forward(tensor.New(1, 28, 28))
+	out := net.LogitsBatch(tensor.New(1, 1, 28, 28))
 	if out.Len() != 10 {
 		t.Fatalf("FFNN produced %d logits", out.Len())
 	}

@@ -2,8 +2,7 @@ package nn
 
 import "repro/internal/tensor"
 
-// ReLU is the rectified linear activation. It is elementwise, so single
-// samples and batches take the same path.
+// ReLU is the rectified linear activation, applied elementwise.
 type ReLU struct{}
 
 // Forward implements Layer.
@@ -39,21 +38,14 @@ func (r *ReLU) Backward(dy *tensor.T, st *State) *tensor.T {
 	return dx
 }
 
-// Flatten reshapes [C,H,W] samples to [C*H*W] and [N,C,H,W] batches to
-// [N,C*H*W]; a no-op on already-flat inputs.
+// Flatten reshapes [N,C,H,W] batches to [N,C*H*W]; flat [N,F] batches
+// pass through unchanged.
 type Flatten struct{}
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.T, st *State) *tensor.T {
 	st.shape = append(st.shape[:0], x.Shape...)
-	switch len(x.Shape) {
-	case 4:
-		return x.Reshape(x.Shape[0], x.Len()/x.Shape[0])
-	case 3:
-		return x.Reshape(x.Len())
-	default:
-		return x
-	}
+	return x.Reshape(x.Shape[0], x.RowLen())
 }
 
 // Backward implements Layer.

@@ -8,7 +8,7 @@ import (
 )
 
 // stackInputs builds a batch of random conv-net inputs plus the
-// per-sample views used by the scalar reference path.
+// samples it stacks, for scoring one at a time.
 func stackInputs(n int, shape []int, seed int64) (*tensor.T, []*tensor.T) {
 	rng := rand.New(rand.NewSource(seed))
 	xs := make([]*tensor.T, n)
@@ -22,9 +22,10 @@ func stackInputs(n int, shape []int, seed int64) (*tensor.T, []*tensor.T) {
 	return tensor.Stack(xs), xs
 }
 
-// TestLogitsBatchMatchesScalar is the golden batched/scalar parity
-// test for the float engine: LogitsBatch row r must equal Logits on
-// sample r bit for bit (identical per-sample accumulation order).
+// TestLogitsBatchMatchesScalar is the golden batch/one-sample parity
+// test for the float engine: LogitsBatch row r must equal the logits of
+// sample r scored alone, as a one-sample batch, bit for bit (identical
+// per-sample accumulation order).
 func TestLogitsBatchMatchesScalar(t *testing.T) {
 	net := smallConvNet(21)
 	batch, xs := stackInputs(7, []int{2, 6, 6}, 22)
@@ -33,19 +34,20 @@ func TestLogitsBatchMatchesScalar(t *testing.T) {
 		t.Fatalf("LogitsBatch shape %v", out.Shape)
 	}
 	for r, x := range xs {
-		want := net.Logits(x)
+		want := net.LogitsBatch(x.Unsqueeze()).Data
 		got := out.Row(r).Data
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("sample %d logit %d: batch %v != scalar %v", r, j, got[j], want[j])
+				t.Fatalf("sample %d logit %d: batch %v != one-sample %v", r, j, got[j], want[j])
 			}
 		}
 	}
 }
 
 // TestLossGradBatchMatchesScalar pins bit-for-bit parity of the
-// batched input-gradient path — the property that lets batched attacks
-// reproduce scalar perturbations exactly.
+// input-gradient path between a batch and its samples taken one at a
+// time — the property that lets chunked crafting reproduce the same
+// perturbations whatever the chunk size.
 func TestLossGradBatchMatchesScalar(t *testing.T) {
 	net := smallConvNet(23)
 	batch, xs := stackInputs(5, []int{2, 6, 6}, 24)
@@ -55,29 +57,28 @@ func TestLossGradBatchMatchesScalar(t *testing.T) {
 		t.Fatalf("LossGradBatch grad shape %v", grads.Shape)
 	}
 	for r, x := range xs {
-		wantLoss, wantGrad := net.LossGrad(x, labels[r])
-		if losses[r] != wantLoss {
-			t.Fatalf("sample %d loss: batch %v != scalar %v", r, losses[r], wantLoss)
+		wantLoss, wantGrad := net.LossGradBatch(x.Unsqueeze(), labels[r:r+1])
+		if losses[r] != wantLoss[0] {
+			t.Fatalf("sample %d loss: batch %v != one-sample %v", r, losses[r], wantLoss[0])
 		}
 		got := grads.Row(r).Data
 		for j := range wantGrad.Data {
 			if got[j] != wantGrad.Data[j] {
-				t.Fatalf("sample %d grad[%d]: batch %v != scalar %v", r, j, got[j], wantGrad.Data[j])
+				t.Fatalf("sample %d grad[%d]: batch %v != one-sample %v", r, j, got[j], wantGrad.Data[j])
 			}
 		}
 	}
 }
 
-// TestBatchSizeOneMatchesScalar guards the degenerate batch.
+// TestBatchSizeOneMatchesScalar guards the degenerate batch on the
+// training path: AccumGrad's one-sample pass reports the same loss as
+// LossGradBatch on that sample's batch of one.
 func TestBatchSizeOneMatchesScalar(t *testing.T) {
 	net := smallConvNet(25)
 	batch, xs := stackInputs(1, []int{2, 6, 6}, 26)
-	out := net.LogitsBatch(batch)
-	want := net.Logits(xs[0])
-	for j := range want {
-		if out.Data[j] != want[j] {
-			t.Fatal("batch-of-one diverged from scalar")
-		}
+	want, _ := net.LossGradBatch(batch, []int{2})
+	if got := net.Clone().AccumGrad(xs[0], 2); got != want[0] {
+		t.Fatalf("AccumGrad loss %v != batch-of-one loss %v", got, want[0])
 	}
 }
 
@@ -100,7 +101,7 @@ func TestDenseOnlyBatch(t *testing.T) {
 		t.Fatalf("dense batch output shape %v", out.Shape)
 	}
 	for r, x := range xs {
-		want := net.Logits(x)
+		want := net.LogitsBatch(x.Unsqueeze()).Data
 		got := out.Row(r).Data
 		for j := range want {
 			if got[j] != want[j] {

@@ -8,8 +8,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution (cross-correlation) layer over [C,H,W]
-// samples or [N,C,H,W] batches, implemented with im2col and the lane
+// Conv2D is a 2-D convolution (cross-correlation) layer over [N,C,H,W]
+// batches, implemented with im2col and the lane
 // GEMM (gemm_lanes.go), which Dense runs on too: the forward pass
 // unrolls the batch into tap-major columns with its samples side by
 // side and multiplies W by them; the backward pass reuses the columns
@@ -50,17 +50,16 @@ func (c *Conv2D) OutSize(h, w int) (int, int) {
 
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.T, st *State) *tensor.T {
-	n, sample := batchDims(x, 3)
-	if len(sample) != 3 || sample[0] != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D expects [%d,H,W] or [N,%d,H,W], got %v", c.InC, c.InC, x.Shape))
+	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
+		panic(fmt.Sprintf("nn: Conv2D expects [N,%d,H,W], got %v", c.InC, x.Shape))
 	}
-	inH, inW := sample[1], sample[2]
+	n, inH, inW := x.Shape[0], x.Shape[2], x.Shape[3]
 	outH, outW := c.OutSize(inH, inW)
 	p := outH * outW
 	kk := c.InC * c.K * c.K
 	st.x = x
 
-	y := batchLike(x, 3, c.OutC, outH, outW)
+	y := tensor.New(n, c.OutC, outH, outW)
 	c.forwardLanes(x.Data, y.Data, st, n, inH, inW, p, kk)
 	return y
 }
@@ -69,8 +68,7 @@ func (c *Conv2D) Forward(x *tensor.T, st *State) *tensor.T {
 // st, so each Forward is followed by at most one Backward.
 func (c *Conv2D) Backward(dy *tensor.T, st *State) *tensor.T {
 	x := st.x
-	n, sample := batchDims(x, 3)
-	inH, inW := sample[1], sample[2]
+	n, inH, inW := x.Shape[0], x.Shape[2], x.Shape[3]
 	outH, outW := c.OutSize(inH, inW)
 	p := outH * outW
 	kk := c.InC * c.K * c.K

@@ -8,8 +8,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// Dense is a fully connected layer over flat [In] samples or [N,In]
-// batches. It runs as a 1x1 conv over a 1x1 input on the conv layers'
+// Dense is a fully connected layer over [N,In] batches. It runs as a 1x1 conv over a 1x1 input on the conv layers'
 // lane GEMM (gemm_lanes.go): each sample has one output pixel, so the
 // batch's samples fill the lanes. Each output reduces its inputs in
 // ascending index order from +0, rounding each product before the add,
@@ -48,12 +47,12 @@ func (d *Dense) conv() *Conv2D {
 
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.T, st *State) *tensor.T {
-	n, sample := batchDims(x, 1)
-	if len(sample) != 1 || sample[0] != d.In {
-		panic(fmt.Sprintf("nn: Dense expects %d inputs, got shape %v", d.In, x.Shape))
+	if len(x.Shape) != 2 || x.Shape[1] != d.In {
+		panic(fmt.Sprintf("nn: Dense expects [N,%d], got %v", d.In, x.Shape))
 	}
+	n := x.Shape[0]
 	st.x = x
-	y := batchLike(x, 1, d.Out)
+	y := tensor.New(n, d.Out)
 	d.conv().forwardLanes(x.Data, y.Data, st, n, 1, 1, 1, d.In)
 	return y
 }
@@ -62,7 +61,7 @@ func (d *Dense) Forward(x *tensor.T, st *State) *tensor.T {
 // dx's [N][In] layout, so nothing is scattered back.
 func (d *Dense) Backward(dy *tensor.T, st *State) *tensor.T {
 	x := st.x
-	n, _ := batchDims(x, 1)
+	n := x.Shape[0]
 	c := d.conv()
 	if st.accumGrads {
 		c.weightGrads(dy.Data, st.cols[:n*d.In], st, n, 1, d.In)

@@ -5,12 +5,12 @@
 // and it serves as the adversary's white-box model — every gradient
 // attack differentiates through this stack.
 //
-// Layers are stateless and batch-first: inputs are either a single
-// sample ([C,H,W] or [F]) or a batch with a leading sample dimension
-// ([N,C,H,W] or [N,F]), and all per-call scratch lives in an explicit
-// State owned by the caller. Network pools those States internally, so
-// concurrent Forward / Logits / LossGrad calls on one shared Network
-// are safe without cloning. The only remaining use of Network.Clone is
+// Layers are stateless and batch-only: every input carries a leading
+// sample dimension ([N,C,H,W] or [N,F]; one sample is a batch of one),
+// and all per-call scratch lives in an explicit State owned by the
+// caller. Network pools those States internally, so concurrent
+// LogitsBatch / LossGradBatch calls on one shared Network are safe
+// without cloning. The only remaining use of Network.Clone is
 // data-parallel training, where each worker needs private weight
 // gradient buffers.
 package nn
@@ -53,9 +53,9 @@ func (st *State) release() { st.x = nil }
 // all mutable per-call data in st so that a single Layer value can be
 // used concurrently with distinct States.
 type Layer interface {
-	// Forward computes the layer output for a single sample or a batch,
-	// caching whatever Backward needs in st. The returned tensor is
-	// freshly allocated (or a view of one) and owned by the caller.
+	// Forward computes the layer output for a batch, caching whatever
+	// Backward needs in st. The returned tensor is freshly allocated
+	// (or a view of one) and owned by the caller.
 	Forward(x *tensor.T, st *State) *tensor.T
 	// Backward consumes the gradient w.r.t. the layer output and
 	// returns the gradient w.r.t. the layer input. Weight gradients are
@@ -84,23 +84,4 @@ type ParamLayer interface {
 	// models (adversarial fine-tuning) that retrain without mutating
 	// their base.
 	CloneDetached() Layer
-}
-
-// batchDims splits a layer input into (n, sampleShape) following the
-// batch convention: rank sampleRank+1 tensors carry a leading batch
-// dimension.
-func batchDims(x *tensor.T, sampleRank int) (n int, sample []int) {
-	if len(x.Shape) == sampleRank+1 {
-		return x.Shape[0], x.Shape[1:]
-	}
-	return 1, x.Shape
-}
-
-// batchLike returns a zeroed layer output for input x: x's batch
-// dimension, if it has one, then the given sample shape.
-func batchLike(x *tensor.T, sampleRank int, sample ...int) *tensor.T {
-	if len(x.Shape) == sampleRank+1 {
-		return tensor.New(append([]int{x.Shape[0]}, sample...)...)
-	}
-	return tensor.New(sample...)
 }

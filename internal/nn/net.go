@@ -10,10 +10,11 @@ import (
 // Network is an ordered stack of layers ending in logits (no softmax
 // layer; the loss applies softmax internally).
 //
-// Networks are stateless with respect to inference: Forward, Logits,
-// LogitsBatch, LossGrad and LossGradBatch keep all scratch in pooled
-// per-call workspaces and never touch the shared gradient buffers, so
-// one Network value serves any number of goroutines concurrently.
+// Every entry point takes a batch [N, sampleShape...]. Networks are
+// stateless with respect to inference: LogitsBatch, LossGradBatch and
+// GradFromLogitsBatch keep all scratch in pooled per-call workspaces
+// and never touch the shared gradient buffers, so one Network value
+// serves any number of goroutines concurrently.
 // Training uses Clone (private gradient buffers) plus AccumGrad.
 type Network struct {
 	Name   string
@@ -60,64 +61,36 @@ func (n *Network) backward(g *tensor.T, p *pass) *tensor.T {
 	return g
 }
 
-// Forward runs the full stack on a single sample or a batch and
-// returns the logits tensor ([classes] or [N,classes]).
-func (n *Network) Forward(x *tensor.T) *tensor.T {
+// LogitsBatch runs the stack on a batch [N, sampleShape...] and
+// returns the [N, classes] logits. Rows are independent: row r is the
+// same bytes whatever else shares its batch.
+func (n *Network) LogitsBatch(xs *tensor.T) *tensor.T {
 	p := n.getPass(false)
-	y := n.forward(x, p)
+	y := n.forward(xs, p)
 	n.putPass(p)
 	return y
 }
 
-// Logits runs Forward on one sample and returns the logits as a plain
-// slice. Together with LossGrad it satisfies the attack package's model
-// interfaces.
-func (n *Network) Logits(x *tensor.T) []float32 {
-	return n.Forward(x).Data
-}
-
-// LogitsBatch runs the stack on a batch [N, sampleShape...] and
-// returns the [N, classes] logits. Row r is bit-for-bit identical to
-// Logits on sample r alone.
-func (n *Network) LogitsBatch(xs *tensor.T) *tensor.T {
-	return n.Forward(xs)
-}
-
-// Predict returns the argmax class for a single sample.
-func (n *Network) Predict(x *tensor.T) int {
-	return tensor.ArgMax(n.Logits(x))
-}
-
-// ForwardTrace runs the stack and returns every intermediate output
-// (one per layer). Used by quantization calibration.
-func (n *Network) ForwardTrace(x *tensor.T) []*tensor.T {
+// ForwardTrace runs the stack on a batch and returns every
+// intermediate output (one per layer). Quantization calibration calls
+// it on one-sample batches.
+func (n *Network) ForwardTrace(xs *tensor.T) []*tensor.T {
 	p := n.getPass(false)
 	outs := make([]*tensor.T, len(n.Layers))
 	for i, l := range n.Layers {
-		x = l.Forward(x, &p.states[i])
-		outs[i] = x
+		xs = l.Forward(xs, &p.states[i])
+		outs[i] = xs
 	}
 	n.putPass(p)
 	return outs
 }
 
-// LossGrad computes the softmax cross-entropy loss for (x, label), and
-// the gradient of that loss w.r.t. x. Weight gradients are NOT
-// accumulated — the call is read-only on the network and safe for
-// concurrent use (gradient attacks hammer this from many goroutines).
-func (n *Network) LossGrad(x *tensor.T, label int) (float32, *tensor.T) {
-	p := n.getPass(false)
-	logits := n.forward(x, p)
-	loss, dlogits := SoftmaxCE(logits.Data, label)
-	g := n.backward(tensor.FromSlice(dlogits, logits.Shape...), p)
-	n.putPass(p)
-	return loss, g
-}
-
-// LossGradBatch is the batched LossGrad: xs is [N, sampleShape...],
-// labels has length N. It returns the per-sample losses and the
-// [N, sampleShape...] input gradient, each row bit-for-bit identical
-// to the scalar LossGrad on that sample.
+// LossGradBatch computes the softmax cross-entropy losses of a batch
+// xs [N, sampleShape...] against labels (length N), and the
+// [N, sampleShape...] gradient of each loss w.r.t. its input row. Weight
+// gradients are NOT accumulated — the call is read-only on the network
+// and safe for concurrent use (gradient attacks hammer this from many
+// goroutines). Rows are independent, as in LogitsBatch.
 func (n *Network) LossGradBatch(xs *tensor.T, labels []int) ([]float32, *tensor.T) {
 	p := n.getPass(false)
 	logits := n.forward(xs, p)
@@ -125,7 +98,7 @@ func (n *Network) LossGradBatch(xs *tensor.T, labels []int) ([]float32, *tensor.
 	losses := make([]float32, rows)
 	dlogits := tensor.New(rows, classes)
 	for r := 0; r < rows; r++ {
-		loss, dl := SoftmaxCE(logits.Data[r*classes:(r+1)*classes], labels[r])
+		loss, dl := tensor.SoftmaxCE(logits.Data[r*classes:(r+1)*classes], labels[r])
 		losses[r] = loss
 		copy(dlogits.Data[r*classes:(r+1)*classes], dl)
 	}
@@ -155,14 +128,15 @@ func (n *Network) GradFromLogitsBatch(xs, dlogits *tensor.T) *tensor.T {
 	return g
 }
 
-// AccumGrad runs a training pass for (x, label): forward, loss, and
-// backward with weight gradients accumulated into the network's G
-// buffers. Unlike LossGrad it mutates shared state, so concurrent
-// training workers must call it on private Clones.
+// AccumGrad runs a training pass for one sample (x, label), as a
+// one-sample batch: forward, loss, and backward with weight gradients
+// accumulated into the network's G buffers. Unlike LossGradBatch it
+// mutates shared state, so concurrent training workers must call it on
+// private Clones.
 func (n *Network) AccumGrad(x *tensor.T, label int) float32 {
 	p := n.getPass(true)
-	logits := n.forward(x, p)
-	loss, dlogits := SoftmaxCE(logits.Data, label)
+	logits := n.forward(x.Unsqueeze(), p)
+	loss, dlogits := tensor.SoftmaxCE(logits.Data, label)
 	n.backward(tensor.FromSlice(dlogits, logits.Shape...), p)
 	n.putPass(p)
 	return loss
@@ -237,30 +211,4 @@ func (n *Network) DeepClone() *Network {
 		}
 	}
 	return c
-}
-
-// SoftmaxCE returns the cross-entropy loss of logits against label and
-// the gradient d loss / d logits (softmax(logits) minus one-hot).
-func SoftmaxCE(logits []float32, label int) (float32, []float32) {
-	maxv := logits[0]
-	for _, v := range logits[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	probs := make([]float32, len(logits))
-	for i, v := range logits {
-		e := math.Exp(float64(v - maxv))
-		probs[i] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for i := range probs {
-		probs[i] *= inv
-	}
-	loss := -float32(math.Log(math.Max(float64(probs[label]), 1e-12)))
-	grad := probs
-	grad[label] -= 1
-	return loss, grad
 }

@@ -22,8 +22,8 @@ func numericalInputGrad(n *Network, x *tensor.T, label int, i int) float64 {
 }
 
 func lossOnly(n *Network, x *tensor.T, label int) (float64, []float32) {
-	logits := n.Forward(x)
-	loss, _ := SoftmaxCE(append([]float32(nil), logits.Data...), label)
+	logits := n.LogitsBatch(x.Unsqueeze())
+	loss, _ := tensor.SoftmaxCE(append([]float32(nil), logits.Data...), label)
 	return float64(loss), logits.Data
 }
 
@@ -58,7 +58,7 @@ func randInput(shape []int, seed int64) *tensor.T {
 func TestInputGradientNumerically(t *testing.T) {
 	net := smallConvNet(1)
 	x := randInput([]int{2, 6, 6}, 2)
-	_, grad := net.LossGrad(x, 3)
+	_, grad := net.LossGradBatch(x.Unsqueeze(), []int{3})
 	for _, i := range []int{0, 7, 35, 50, 71} {
 		num := numericalInputGrad(net, x, 3, i)
 		got := float64(grad.Data[i])
@@ -70,7 +70,7 @@ func TestInputGradientNumerically(t *testing.T) {
 
 // TestWeightGradientNumerically validates weight gradients for conv and
 // dense layers by finite differences. Training passes accumulate via
-// AccumGrad; plain LossGrad must leave the buffers untouched.
+// AccumGrad; plain LossGradBatch must leave the buffers untouched.
 func TestWeightGradientNumerically(t *testing.T) {
 	net := smallConvNet(3)
 	x := randInput([]int{2, 6, 6}, 4)
@@ -95,41 +95,16 @@ func TestWeightGradientNumerically(t *testing.T) {
 	}
 }
 
-func TestSoftmaxCEProperties(t *testing.T) {
-	logits := []float32{1, 2, 3}
-	loss, grad := SoftmaxCE(append([]float32(nil), logits...), 2)
-	if loss <= 0 {
-		t.Fatal("loss must be positive")
-	}
-	var s float32
-	for _, g := range grad {
-		s += g
-	}
-	if math.Abs(float64(s)) > 1e-5 {
-		t.Fatalf("softmax CE gradient must sum to 0, got %f", s)
-	}
-	if grad[2] >= 0 {
-		t.Fatal("gradient at the true label must be negative")
-	}
-}
-
-func TestSoftmaxCEStability(t *testing.T) {
-	loss, _ := SoftmaxCE([]float32{1000, -1000}, 0)
-	if math.IsNaN(float64(loss)) || math.IsInf(float64(loss), 0) {
-		t.Fatal("softmax must be stable for large logits")
-	}
-}
-
 func TestConvOutputShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := NewConv2D(1, 6, 5, 1, 2, rng)
-	y := c.Forward(tensor.New(1, 28, 28), &State{})
-	if y.Shape[0] != 6 || y.Shape[1] != 28 || y.Shape[2] != 28 {
+	y := c.Forward(tensor.New(1, 1, 28, 28), &State{})
+	if len(y.Shape) != 4 || y.Shape[0] != 1 || y.Shape[1] != 6 || y.Shape[2] != 28 || y.Shape[3] != 28 {
 		t.Fatalf("conv output shape %v", y.Shape)
 	}
 	c2 := NewConv2D(1, 2, 5, 1, 0, rng)
-	y2 := c2.Forward(tensor.New(1, 28, 28), &State{})
-	if y2.Shape[1] != 24 {
+	y2 := c2.Forward(tensor.New(1, 1, 28, 28), &State{})
+	if y2.Shape[2] != 24 {
 		t.Fatalf("no-pad conv output %v", y2.Shape)
 	}
 	yb := c.Forward(tensor.New(3, 1, 28, 28), &State{})
@@ -146,18 +121,18 @@ func TestConvRejectsWrongChannels(t *testing.T) {
 			t.Fatal("conv must panic on channel mismatch")
 		}
 	}()
-	c.Forward(tensor.New(1, 8, 8), &State{})
+	c.Forward(tensor.New(1, 1, 8, 8), &State{})
 }
 
 func TestAvgPool(t *testing.T) {
 	p := NewAvgPool2D(2, 0)
 	st := &State{}
-	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
+	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	y := p.Forward(x, st)
 	if y.Len() != 1 || y.Data[0] != 2.5 {
 		t.Fatalf("avgpool got %v", y.Data)
 	}
-	dy := tensor.FromSlice([]float32{4}, 1, 1, 1)
+	dy := tensor.FromSlice([]float32{4}, 1, 1, 1, 1)
 	dx := p.Backward(dy, st)
 	for _, v := range dx.Data {
 		if v != 1 {
@@ -187,15 +162,16 @@ func TestReLU(t *testing.T) {
 func TestFlattenRoundTrip(t *testing.T) {
 	f := &Flatten{}
 	st := &State{}
-	y := f.Forward(tensor.New(2, 3, 4), st)
-	if len(y.Shape) != 1 || y.Len() != 24 {
-		t.Fatal("flatten forward wrong")
+	// Flat batches pass through.
+	y := f.Forward(tensor.New(2, 12), st)
+	if len(y.Shape) != 2 || y.Shape[0] != 2 || y.Shape[1] != 12 {
+		t.Fatalf("flat flatten forward %v", y.Shape)
 	}
-	dx := f.Backward(tensor.New(24), st)
-	if len(dx.Shape) != 3 || dx.Shape[0] != 2 {
-		t.Fatal("flatten backward shape wrong")
+	dx := f.Backward(tensor.New(2, 12), st)
+	if len(dx.Shape) != 2 || dx.Shape[0] != 2 {
+		t.Fatalf("flat flatten backward %v", dx.Shape)
 	}
-	// Batched round trip keeps the leading sample dimension.
+	// Image batches keep the leading sample dimension.
 	yb := f.Forward(tensor.New(5, 2, 3, 4), st)
 	if len(yb.Shape) != 2 || yb.Shape[0] != 5 || yb.Shape[1] != 24 {
 		t.Fatalf("batched flatten forward %v", yb.Shape)
@@ -233,44 +209,45 @@ func TestCloneSharesWeightsNotGrads(t *testing.T) {
 }
 
 // TestLossGradLeavesWeightGradsUntouched pins the statelessness
-// contract attacks rely on: LossGrad computes input gradients without
-// writing to the shared weight-gradient buffers.
+// contract attacks rely on: LossGradBatch computes input gradients
+// without writing to the shared weight-gradient buffers.
 func TestLossGradLeavesWeightGradsUntouched(t *testing.T) {
 	net := smallConvNet(5)
 	net.ZeroGrads()
-	x := randInput([]int{2, 6, 6}, 6)
-	net.LossGrad(x, 0)
+	xs := randInput([]int{2, 2, 6, 6}, 6)
+	net.LossGradBatch(xs, []int{0, 1})
 	for _, p := range net.Params() {
 		for _, g := range p.G {
 			if g != 0 {
-				t.Fatal("LossGrad accumulated weight gradients")
+				t.Fatal("LossGradBatch accumulated weight gradients")
 			}
 		}
 	}
 }
 
 // TestSharedNetworkConcurrentForward exercises the stateless design:
-// many goroutines call Forward and LossGrad on ONE shared network (no
-// clones) and must all see identical results.
+// many goroutines call LogitsBatch and LossGradBatch on ONE shared
+// network (no clones) and must all see identical results.
 func TestSharedNetworkConcurrentForward(t *testing.T) {
 	net := smallConvNet(7)
-	x := randInput([]int{2, 6, 6}, 8)
-	want := append([]float32(nil), net.Logits(x)...)
-	_, wantGrad := net.LossGrad(x, 1)
+	xs := randInput([]int{3, 2, 6, 6}, 8)
+	labels := []int{1, 0, 4}
+	want := net.LogitsBatch(xs).Data
+	_, wantGrad := net.LossGradBatch(xs, labels)
 	done := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		go func() {
-			out := append([]float32(nil), net.Logits(x)...)
+			out := net.LogitsBatch(xs).Data
 			for j := range want {
 				if out[j] != want[j] {
 					done <- errors.New("concurrent shared forward diverged")
 					return
 				}
 			}
-			_, g := net.LossGrad(x, 1)
+			_, g := net.LossGradBatch(xs, labels)
 			for j := range wantGrad.Data {
 				if g.Data[j] != wantGrad.Data[j] {
-					done <- errors.New("concurrent shared LossGrad diverged")
+					done <- errors.New("concurrent shared LossGradBatch diverged")
 					return
 				}
 			}
@@ -316,25 +293,17 @@ func TestIm2colCol2imAdjoint(t *testing.T) {
 	}
 }
 
-func TestPredictMatchesArgmaxLogits(t *testing.T) {
-	net := smallConvNet(11)
-	x := randInput([]int{2, 6, 6}, 12)
-	if net.Predict(x) != tensor.ArgMax(net.Logits(x)) {
-		t.Fatal("Predict disagrees with Logits argmax")
-	}
-}
-
 // TestDeepCloneDetachesWeights: mutating a DeepClone's weights must
 // leave the base network (and its fingerprint) untouched — the
 // contract hardened derived models rely on.
 func TestDeepCloneDetachesWeights(t *testing.T) {
 	base := smallConvNet(21)
 	fp := base.WeightsFingerprint()
-	x := randInput([]int{2, 6, 6}, 22)
-	want := append([]float32(nil), base.Logits(x)...)
+	x := randInput([]int{1, 2, 6, 6}, 22)
+	want := base.LogitsBatch(x).Data
 
 	c := base.DeepClone()
-	got := c.Logits(x)
+	got := c.LogitsBatch(x).Data
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatal("DeepClone changed the forward pass")
@@ -348,7 +317,7 @@ func TestDeepCloneDetachesWeights(t *testing.T) {
 	if base.WeightsFingerprint() != fp {
 		t.Fatal("mutating a DeepClone's weights changed the base fingerprint")
 	}
-	after := base.Logits(x)
+	after := base.LogitsBatch(x).Data
 	for i := range want {
 		if after[i] != want[i] {
 			t.Fatal("mutating a DeepClone's weights changed the base network")
@@ -372,7 +341,7 @@ func TestGradFromLogitsBatchMatchesLossGradBatch(t *testing.T) {
 	classes := logits.Shape[1]
 	dlogits := tensor.New(3, classes)
 	for r := 0; r < 3; r++ {
-		_, dl := SoftmaxCE(append([]float32(nil), logits.Data[r*classes:(r+1)*classes]...), labels[r])
+		_, dl := tensor.SoftmaxCE(append([]float32(nil), logits.Data[r*classes:(r+1)*classes]...), labels[r])
 		copy(dlogits.Data[r*classes:(r+1)*classes], dl)
 	}
 	got := net.GradFromLogitsBatch(xs, dlogits)

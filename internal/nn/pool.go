@@ -7,7 +7,7 @@ import (
 )
 
 // AvgPool2D averages non-overlapping K x K windows (stride defaults to
-// K) over [C,H,W] samples or [N,C,H,W] batches. LeNet-5 and the
+// K) over [N,C,H,W] batches. LeNet-5 and the
 // paper's AlexNet both use average pooling.
 type AvgPool2D struct {
 	K, Stride int
@@ -24,15 +24,14 @@ func NewAvgPool2D(k, stride int) *AvgPool2D {
 
 // Forward implements Layer.
 func (p *AvgPool2D) Forward(x *tensor.T, st *State) *tensor.T {
-	n, sample := batchDims(x, 3)
-	if len(sample) != 3 {
-		panic(fmt.Sprintf("nn: AvgPool2D expects [C,H,W] or [N,C,H,W], got %v", x.Shape))
+	if len(x.Shape) != 4 {
+		panic(fmt.Sprintf("nn: AvgPool2D expects [N,C,H,W], got %v", x.Shape))
 	}
 	st.x = x
-	inC, inH, inW := sample[0], sample[1], sample[2]
+	n, inC, inH, inW := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH := (inH-p.K)/p.Stride + 1
 	outW := (inW-p.K)/p.Stride + 1
-	y := batchLike(x, 3, inC, outH, outW)
+	y := tensor.New(n, inC, outH, outW)
 	inv := 1 / float32(p.K*p.K)
 	for s := 0; s < n; s++ {
 		xd := x.Data[s*inC*inH*inW:]
@@ -60,8 +59,7 @@ func (p *AvgPool2D) Forward(x *tensor.T, st *State) *tensor.T {
 // Backward implements Layer.
 func (p *AvgPool2D) Backward(dy *tensor.T, st *State) *tensor.T {
 	x := st.x
-	n, sample := batchDims(x, 3)
-	inC, inH, inW := sample[0], sample[1], sample[2]
+	n, inC, inH, inW := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH := (inH-p.K)/p.Stride + 1
 	outW := (inW-p.K)/p.Stride + 1
 	dx := tensor.New(x.Shape...)

@@ -15,8 +15,7 @@ import "repro/internal/tensor"
 
 // refForward is the seed Conv2D.Forward.
 func (c *Conv2D) refForward(x *tensor.T, st *State) *tensor.T {
-	n, sample := batchDims(x, 3)
-	inH, inW := sample[1], sample[2]
+	n, inH, inW := x.Shape[0], x.Shape[2], x.Shape[3]
 	outH, outW := c.OutSize(inH, inW)
 	p := outH * outW
 	kk := c.InC * c.K * c.K
@@ -26,12 +25,7 @@ func (c *Conv2D) refForward(x *tensor.T, st *State) *tensor.T {
 	}
 	st.cols = st.cols[:n*kk*p]
 
-	var y *tensor.T
-	if len(x.Shape) == 4 {
-		y = tensor.New(n, c.OutC, outH, outW)
-	} else {
-		y = tensor.New(c.OutC, outH, outW)
-	}
+	y := tensor.New(n, c.OutC, outH, outW)
 	inStride := c.InC * inH * inW
 	for s := 0; s < n; s++ {
 		cols := st.cols[s*kk*p : (s+1)*kk*p]
@@ -63,20 +57,14 @@ func (c *Conv2D) refForward(x *tensor.T, st *State) *tensor.T {
 // on the same State (it reads the tap-major columns refForward left).
 func (c *Conv2D) refBackward(dy *tensor.T, st *State) *tensor.T {
 	x := st.x
-	n, sample := batchDims(x, 3)
-	inH, inW := sample[1], sample[2]
+	n, inH, inW := x.Shape[0], x.Shape[2], x.Shape[3]
 	outH, outW := c.OutSize(inH, inW)
 	p := outH * outW
 	kk := c.InC * c.K * c.K
 
 	dcols := make([]float32, kk*p)
 
-	var dx *tensor.T
-	if len(x.Shape) == 4 {
-		dx = tensor.New(n, c.InC, inH, inW)
-	} else {
-		dx = tensor.New(c.InC, inH, inW)
-	}
+	dx := tensor.New(n, c.InC, inH, inW)
 	inStride := c.InC * inH * inW
 	for s := 0; s < n; s++ {
 		cols := st.cols[s*kk*p : (s+1)*kk*p]
@@ -159,14 +147,9 @@ func refCol2im(cols []float32, inC, h, w, k, stride, pad int, dst []float32) {
 
 // refForward is the seed Dense.Forward.
 func (d *Dense) refForward(x *tensor.T, st *State) *tensor.T {
-	n, _ := batchDims(x, 1)
+	n := x.Shape[0]
 	st.x = x
-	var y *tensor.T
-	if len(x.Shape) == 2 {
-		y = tensor.New(n, d.Out)
-	} else {
-		y = tensor.New(d.Out)
-	}
+	y := tensor.New(n, d.Out)
 	for s := 0; s < n; s++ {
 		xd := x.Data[s*d.In : (s+1)*d.In]
 		yd := y.Data[s*d.Out : (s+1)*d.Out]
@@ -186,13 +169,8 @@ func (d *Dense) refForward(x *tensor.T, st *State) *tensor.T {
 // the same State.
 func (d *Dense) refBackward(dy *tensor.T, st *State) *tensor.T {
 	x := st.x
-	n, _ := batchDims(x, 1)
-	var dx *tensor.T
-	if len(x.Shape) == 2 {
-		dx = tensor.New(n, d.In)
-	} else {
-		dx = tensor.New(d.In)
-	}
+	n := x.Shape[0]
+	dx := tensor.New(n, d.In)
 	for s := 0; s < n; s++ {
 		xd := x.Data[s*d.In : (s+1)*d.In]
 		dxd := dx.Data[s*d.In : (s+1)*d.In]

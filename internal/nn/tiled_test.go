@@ -55,7 +55,8 @@ func zeroSomeWeights(net *nn.Network) {
 // loop of the same sums over every lane tail, and the conv and dense
 // layers to the reference kernels bit for bit: forward outputs, input
 // gradients, and weight and bias gradients, on every shape the model
-// builders produce and on edge shapes, for batches and single samples. It runs
+// builders produce and on edge shapes, for batches and for one sample
+// passed as a one-sample view. It runs
 // on the microkernel this CPU selects (the AVX2 kernel where the CPU
 // has it) and, on AVX2 hosts, once more with the Go microkernel forced
 // ("go").
@@ -102,7 +103,7 @@ func floatTiledParity(t *testing.T) {
 			{1, 6, 1, 1, 0, 5, 5},    // k = 1 forward, one input-gradient row
 		}
 		for _, sh := range shapes {
-			for _, n := range []int{0, 1, 3, 6} { // 0: unbatched sample
+			for _, n := range []int{0, 1, 3, 6} { // 0: one sample, as a [1,...] view
 				convParity(t, sh, n, spiky, spiky)
 			}
 		}
@@ -124,7 +125,7 @@ func floatTiledParity(t *testing.T) {
 			{3, 9},         // Out = 9 (4k+1 rows)
 		}
 		for _, sh := range shapes {
-			for _, n := range []int{0, 1, 7, 8, 9} { // 0: unbatched sample
+			for _, n := range []int{0, 1, 7, 8, 9} { // 0: one sample, as a [1,...] view
 				for _, accum := range []bool{true, false} {
 					denseParity(t, sh[0], sh[1], n, accum, spiky, spiky, spiky)
 				}
@@ -192,7 +193,7 @@ func floatTiledParity(t *testing.T) {
 				zeroSomeWeights(tc.net)
 				ref := nn.RefNetwork(tc.net)
 				rng := rand.New(rand.NewSource(5))
-				// n = 1 is a batch of one against the scalar calls.
+				// n = 1 is a batch of one against the one-sample calls.
 				for _, n := range []int{1, 3} {
 					xs := make([]*tensor.T, n)
 					labels := make([]int, n)
@@ -209,11 +210,11 @@ func floatTiledParity(t *testing.T) {
 					sameBits(t, "LossGradBatch loss", losses, refLosses)
 					sameBits(t, "LossGradBatch grad", grad.Data, refGrad.Data)
 
-					// Batch rows against scalar calls, tiled against reference.
+					// Batch rows against one-sample calls, tiled against reference.
 					for r, x := range xs {
-						sameBits(t, fmt.Sprintf("Logits row %d", r), tc.net.Logits(x), ref.LogitsBatch(batch).Row(r).Data)
-						_, g := tc.net.LossGrad(x, labels[r])
-						sameBits(t, fmt.Sprintf("LossGrad row %d", r), g.Data, refGrad.Row(r).Data)
+						sameBits(t, fmt.Sprintf("one-sample logits row %d", r), tc.net.LogitsBatch(x.Unsqueeze()).Data, ref.LogitsBatch(batch).Row(r).Data)
+						_, g := tc.net.LossGradBatch(x.Unsqueeze(), labels[r:r+1])
+						sameBits(t, fmt.Sprintf("one-sample grad row %d", r), g.Data, refGrad.Row(r).Data)
 					}
 
 					// Weight gradients through the training path.
@@ -292,7 +293,8 @@ func gemmLanesParity(t *testing.T) {
 }
 
 // convParity runs one Conv2D shape on a batch of n samples (0: one
-// unbatched sample) through the tiled and the reference kernels and
+// sample passed as a [1,...] view of its own storage, the way the
+// one-sample callers pass theirs) through the tiled and the reference kernels and
 // compares outputs and gradients bit for bit over two training passes.
 // fillW fills the weights; fill fills the input and the output
 // gradients (the biases are spiky).
@@ -305,11 +307,7 @@ func convParity(t *testing.T, sh convShape, n int, fillW, fill func([]float32, *
 		spiky(tiled.B, rng)
 		ref := tiled.CloneDetached().(*nn.Conv2D)
 
-		xShape := []int{sh.inC, sh.h, sh.w}
-		if n > 0 {
-			xShape = append([]int{n}, xShape...)
-		}
-		x := tensor.New(xShape...)
+		x := oneOrBatch(n, sh.inC, sh.h, sh.w)
 		fill(x.Data, rng)
 
 		// Run the backward pass twice, so weight gradients
@@ -332,7 +330,7 @@ func convParity(t *testing.T, sh convShape, n int, fillW, fill func([]float32, *
 }
 
 // denseParity runs one In x Out Dense layer on a batch of n samples (0:
-// one unbatched sample) through the lane kernel and the reference
+// one sample as a [1,...] view, as in convParity) through the lane kernel and the reference
 // kernels and compares outputs and gradients bit for bit over two
 // passes, with weight gradients accumulated (accum) or not. fillW fills
 // the weights, fillX the input and fillDy the output gradients (the
@@ -346,11 +344,7 @@ func denseParity(t *testing.T, in, out, n int, accum bool, fillW, fillX, fillDy 
 		spiky(lanes.B, rng)
 		ref := lanes.CloneDetached().(*nn.Dense)
 
-		xShape := []int{in}
-		if n > 0 {
-			xShape = append([]int{n}, xShape...)
-		}
-		x := tensor.New(xShape...)
+		x := oneOrBatch(n, in)
 		fillX(x.Data, rng)
 
 		for pass := 0; pass < 2; pass++ {
@@ -371,6 +365,15 @@ func denseParity(t *testing.T, in, out, n int, accum bool, fillW, fillX, fillDy 
 			sameBits(t, "bias gradient", lanes.GB, ref.GB)
 		}
 	})
+}
+
+// oneOrBatch returns a zero [n, sample...] batch, or for n = 0 one
+// sample of that shape wrapped as a [1, sample...] view.
+func oneOrBatch(n int, sample ...int) *tensor.T {
+	if n == 0 {
+		return tensor.New(sample...).Unsqueeze()
+	}
+	return tensor.New(append([]int{n}, sample...)...)
 }
 
 // BenchmarkFloatTiledVsSeed measures the float craft path's unit of

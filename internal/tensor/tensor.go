@@ -68,6 +68,13 @@ func (t *T) Reshape(shape ...int) *T {
 	return &T{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
+// Unsqueeze returns t as a one-sample batch: a [1, t.Shape...] view
+// sharing t's storage. Callers that score or train on a single sample
+// pass it to the batch-only model entry points this way.
+func (t *T) Unsqueeze() *T {
+	return &T{Shape: append([]int{1}, t.Shape...), Data: t.Data}
+}
+
 // SameShape reports whether t and o have identical shapes.
 func (t *T) SameShape(o *T) bool {
 	if len(t.Shape) != len(o.Shape) {
@@ -206,6 +213,34 @@ func ArgMax(v []float32) int {
 		}
 	}
 	return bi
+}
+
+// SoftmaxCE returns the cross-entropy loss of logits against label and
+// the gradient d loss / d logits (softmax(logits) minus one-hot). The
+// float network's loss gradient and the EOT attack's averaged logit
+// gradients both come from it.
+func SoftmaxCE(logits []float32, label int) (float32, []float32) {
+	maxv := logits[0]
+	for _, v := range logits[1:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float64
+	probs := make([]float32, len(logits))
+	for i, v := range logits {
+		e := math.Exp(float64(v - maxv))
+		probs[i] = float32(e)
+		sum += e
+	}
+	inv := float32(1 / sum)
+	for i := range probs {
+		probs[i] *= inv
+	}
+	loss := -float32(math.Log(math.Max(float64(probs[label]), 1e-12)))
+	grad := probs
+	grad[label] -= 1
+	return loss, grad
 }
 
 // Stack copies the given same-shaped samples into one fresh batched

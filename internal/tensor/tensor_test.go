@@ -237,3 +237,40 @@ func TestRowOpsMatchScalar(t *testing.T) {
 		}
 	}
 }
+
+func TestSoftmaxCEProperties(t *testing.T) {
+	logits := []float32{1, 2, 3}
+	loss, grad := SoftmaxCE(append([]float32(nil), logits...), 2)
+	if loss <= 0 {
+		t.Fatal("loss must be positive")
+	}
+	var s float32
+	for _, g := range grad {
+		s += g
+	}
+	if math.Abs(float64(s)) > 1e-5 {
+		t.Fatalf("softmax CE gradient must sum to 0, got %f", s)
+	}
+	if grad[2] >= 0 {
+		t.Fatal("gradient at the true label must be negative")
+	}
+}
+
+func TestSoftmaxCEStability(t *testing.T) {
+	loss, _ := SoftmaxCE([]float32{1000, -1000}, 0)
+	if math.IsNaN(float64(loss)) || math.IsInf(float64(loss), 0) {
+		t.Fatal("softmax must be stable for large logits")
+	}
+}
+
+func TestUnsqueezeIsOneRowView(t *testing.T) {
+	x := New(2, 3)
+	b := x.Unsqueeze()
+	if len(b.Shape) != 3 || b.Shape[0] != 1 || b.Rows() != 1 || b.RowLen() != 6 {
+		t.Fatalf("Unsqueeze shape %v", b.Shape)
+	}
+	b.Data[4] = 7
+	if x.Data[4] != 7 {
+		t.Fatal("Unsqueeze must share storage")
+	}
+}

@@ -145,16 +145,23 @@ func Fit(net *nn.Network, set *dataset.Set, cfg Config) float64 {
 	return lastLoss
 }
 
-// Predictor is anything that classifies a tensor (float or quantized
-// networks alike).
+// Predictor is anything that classifies a batch (float or quantized
+// networks alike): LogitsBatch takes [N, sampleShape...] and returns
+// [N, classes].
 type Predictor interface {
-	Logits(x *tensor.T) []float32
+	LogitsBatch(xs *tensor.T) *tensor.T
 }
 
 // Accuracy evaluates pred on up to limit samples of set (0 = all) in
 // parallel and returns the fraction correct. Both float nn networks
 // and compiled axnn networks are concurrency-safe, so a shared
 // predictor is fine.
+//
+// Each call scores one sample, as a one-sample view of its storage.
+// Batching these calls would fill more kernel lanes, but the pooled
+// workspaces grow with the batch, and Accuracy runs during model setup,
+// where that growth sets the process's peak memory without a clear
+// setup-time gain. Bound the workspace before batching here.
 func Accuracy(pred Predictor, set *dataset.Set, limit int) float64 {
 	s := set.Slice(limit)
 	workers := min(runtime.GOMAXPROCS(0), s.Len())
@@ -168,7 +175,7 @@ func Accuracy(pred Predictor, set *dataset.Set, limit int) float64 {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < s.Len(); i += workers {
-				if tensor.ArgMax(pred.Logits(s.X[i])) == s.Y[i] {
+				if tensor.ArgMax(pred.LogitsBatch(s.X[i].Unsqueeze()).Data) == s.Y[i] {
 					correct[w]++
 				}
 			}

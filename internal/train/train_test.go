@@ -121,9 +121,11 @@ func TestAccuracyBounds(t *testing.T) {
 
 type constPredictor struct{ class int }
 
-func (c constPredictor) Logits(*tensor.T) []float32 {
-	out := make([]float32, 10)
-	out[c.class] = 1
+func (c constPredictor) LogitsBatch(xs *tensor.T) *tensor.T {
+	out := tensor.New(xs.Rows(), 10)
+	for r := 0; r < xs.Rows(); r++ {
+		out.Row(r).Data[c.class] = 1
+	}
 	return out
 }
 
